@@ -12,9 +12,10 @@
 //! * **latency** — a pre-measured single-client pass records p50/p99
 //!   round-trip nanoseconds into the case metadata (`p50_ns`/`p99_ns`).
 //!
-//! `analyze` queries hit the compiled-program cache (the analytic
-//! fast path); `mc_2000` runs a 2000-unit derived-seed Monte Carlo per
-//! request (the batching executor path).
+//! `analyze` queries walk the program compiled at registration (the
+//! analytic fast path); `mc_2000` runs a 2000-unit derived-seed Monte
+//! Carlo per request. Each connection's requests are answered on that
+//! connection's own server thread.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ipass_serve::{testflow, Client, FlowRegistry, Server, ServerConfig};
@@ -47,8 +48,8 @@ fn round(addr: SocketAddr, request: &str) {
     });
 }
 
-/// Single-client p50/p99 round-trip latency in nanoseconds (cache and
-/// connection warm — the steady-state figure, not the cold start).
+/// Single-client p50/p99 round-trip latency in nanoseconds (connection
+/// warm — the steady-state figure, not the cold start).
 fn latency_ns(addr: SocketAddr, request: &str) -> (f64, f64) {
     let mut client = Client::connect(addr).expect("connect");
     for _ in 0..8 {
@@ -75,7 +76,6 @@ fn bench_serve_load(c: &mut Criterion) {
         ),
     ];
     let mut group = c.benchmark_group("serve_load");
-    group.threads(ServerConfig::default().threads);
     group.throughput(Throughput::Elements((CLIENTS * PER_CLIENT) as u64));
     for (name, request) in cases {
         let server = boot();

@@ -183,11 +183,10 @@ pub struct ServeStats {
     pub bytes_in: u64,
     /// Response bytes written to the wire (incl. newline).
     pub bytes_out: u64,
-    /// Batches dispatched onto the executor.
-    pub batches: u64,
-    /// Requests that rode a batch of size ≥ 2 (the rest dispatched
-    /// alone).
-    pub batched_requests: u64,
+    /// Request lines the engine evaluated: every request except the
+    /// framing failures (oversized, invalid UTF-8, idle timeout)
+    /// answered before parsing.
+    pub evaluated: u64,
 }
 
 impl ServeStats {
@@ -199,8 +198,7 @@ impl ServeStats {
         self.responses_err += other.responses_err;
         self.bytes_in += other.bytes_in;
         self.bytes_out += other.bytes_out;
-        self.batches += other.batches;
-        self.batched_requests += other.batched_requests;
+        self.evaluated += other.evaluated;
     }
 }
 
@@ -309,22 +307,15 @@ impl RunStats {
     /// The width- and concurrency-invariant core of the snapshot.
     ///
     /// Zeroes the lane histogram (which reports kernel shape, so it
-    /// *should* change with lane width), the memo split (whose hit/miss
-    /// balance can race under concurrency) and the server's batch
-    /// grouping (how many requests shared a dispatch is arrival-timing
-    /// dependent, even though every response's *bytes* are not).
-    /// Everything left is bit-identical across thread counts *and*
-    /// lane widths.
+    /// *should* change with lane width) and the memo split (whose
+    /// hit/miss balance can race under concurrency). Everything left,
+    /// the serve counters included, is bit-identical across thread
+    /// counts *and* lane widths.
     #[must_use]
     pub fn invariant_core(&self) -> RunStats {
         RunStats {
             lanes: [0; 7],
             memo: MemoStats::default(),
-            serve: ServeStats {
-                batches: 0,
-                batched_requests: 0,
-                ..self.serve
-            },
             ..*self
         }
     }
@@ -510,7 +501,7 @@ mod tests {
     }
 
     #[test]
-    fn invariant_core_strips_lanes_memo_and_batch_grouping_only() {
+    fn invariant_core_strips_lanes_and_memo_only() {
         let mut eng = EngineCounters::new();
         eng.record_unit(2);
         eng.lanes[6] = 1;
@@ -518,18 +509,14 @@ mod tests {
         stats.memo.hits = 10;
         stats.rework_attempts = 3;
         stats.serve.requests = 9;
-        stats.serve.batches = 4;
-        stats.serve.batched_requests = 6;
+        stats.serve.evaluated = 8;
         let core = stats.invariant_core();
         assert_eq!(core.lanes, [0; 7]);
         assert_eq!(core.memo, MemoStats::default());
         assert_eq!(core.draws, stats.draws);
         assert_eq!(core.rework_attempts, 3);
-        // Request totals are workload-determined and stay; how they were
-        // grouped into batches is arrival timing and goes.
-        assert_eq!(core.serve.requests, 9);
-        assert_eq!(core.serve.batches, 0);
-        assert_eq!(core.serve.batched_requests, 0);
+        // Every serve counter is a pure function of the request stream.
+        assert_eq!(core.serve, stats.serve);
     }
 
     #[test]
@@ -541,8 +528,7 @@ mod tests {
             responses_err: 1,
             bytes_in: 100,
             bytes_out: 300,
-            batches: 2,
-            batched_requests: 3,
+            evaluated: 4,
         };
         let b = ServeStats {
             connections: 2,

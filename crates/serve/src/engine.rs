@@ -3,14 +3,14 @@
 //!
 //! Every response-producing path is a pure function of the request
 //! content (the `stats` verb excepted, by design) — this is what makes
-//! the wire-level determinism property testable: batching, thread
-//! counts and client interleaving can change *when* a request is
-//! evaluated but never *what* it answers.
+//! the wire-level determinism property testable: connection threads
+//! and client interleaving can change *when* a request is evaluated
+//! but never *what* it answers.
 
 use crate::protocol::{derived_seed, parse_request, ErrorCode, Request, ServeError};
 use crate::registry::FlowRegistry;
 use ipass_moe::{CostReport, Probe, SimOptions};
-use ipass_obs::{RunStats, ServeStats};
+use ipass_obs::{MemoStats, RunStats, ServeStats};
 use ipass_report::json::Json;
 use ipass_report::Artifact;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -28,8 +28,7 @@ pub(crate) struct ServeCounters {
     pub responses_err: AtomicU64,
     pub bytes_in: AtomicU64,
     pub bytes_out: AtomicU64,
-    pub batches: AtomicU64,
-    pub batched_requests: AtomicU64,
+    pub evaluated: AtomicU64,
 }
 
 impl ServeCounters {
@@ -41,15 +40,13 @@ impl ServeCounters {
             responses_err: self.responses_err.load(Ordering::Relaxed),
             bytes_in: self.bytes_in.load(Ordering::Relaxed),
             bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_requests: self.batched_requests.load(Ordering::Relaxed),
+            evaluated: self.evaluated.load(Ordering::Relaxed),
         }
     }
 }
 
 /// The serving core: registry, counters and the shutdown latch. Shared
-/// (via `Arc`) between the accept loop, every connection thread and the
-/// batch dispatcher.
+/// (via `Arc`) between the accept loop and every connection thread.
 #[derive(Debug)]
 pub struct Engine {
     registry: FlowRegistry,
@@ -84,11 +81,17 @@ impl Engine {
 
     /// The cumulative [`RunStats`] of this server: merged engine
     /// counters from probed runs, the serve plane from the connection
-    /// counters, the memo plane from the compiled-program cache.
+    /// counters, and the registry's traffic on the memo plane (misses
+    /// are the flows compiled at registration, hits the lookups served
+    /// from them).
     pub fn run_stats(&self) -> RunStats {
         let mut stats = *self.engine_stats.lock().unwrap_or_else(|p| p.into_inner());
         stats.serve = self.serve.snapshot();
-        stats.memo = self.registry.cache_stats();
+        stats.memo = MemoStats {
+            hits: self.registry.lookups(),
+            misses: self.registry.len() as u64,
+            ..MemoStats::default()
+        };
         stats
     }
 
@@ -97,6 +100,7 @@ impl Engine {
     /// as typed `internal-error` responses.
     pub fn handle_line(&self, line: &str) -> String {
         self.serve.requests.fetch_add(1, Ordering::Relaxed);
+        self.serve.evaluated.fetch_add(1, Ordering::Relaxed);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             parse_request(line).and_then(|req| self.dispatch(req))
         }));
@@ -215,8 +219,10 @@ impl Engine {
                     ("responses_err", count(stats.serve.responses_err)),
                     ("bytes_in", count(stats.serve.bytes_in)),
                     ("bytes_out", count(stats.serve.bytes_out)),
-                    ("batches", count(stats.serve.batches)),
-                    ("batched_requests", count(stats.serve.batched_requests)),
+                    // Each evaluated request is its own dispatch; the
+                    // two keys keep the wire shape readers rely on.
+                    ("batches", count(stats.serve.evaluated)),
+                    ("batched_requests", count(stats.serve.evaluated)),
                 ]),
             ),
             (
@@ -317,14 +323,21 @@ mod tests {
         let _ = e.handle_line(r#"{"verb":"analyze","flow":"demo"}"#);
         let _ = e.handle_line(r#"{"verb":"analyze","flow":"demo"}"#);
         let _ = e.handle_line(r#"{"verb":"nope"}"#);
+        let _ = e.frame_error(ErrorCode::InvalidUtf8, "not evaluated");
         let resp = e.handle_line(r#"{"verb":"stats"}"#);
         let serve = json::field_value(&resp, "serve").unwrap();
-        assert_eq!(json::number_field(serve, "requests"), Some(4.0));
+        assert_eq!(json::number_field(serve, "requests"), Some(5.0));
         assert_eq!(json::number_field(serve, "responses_ok"), Some(2.0));
-        assert_eq!(json::number_field(serve, "responses_err"), Some(1.0));
+        assert_eq!(json::number_field(serve, "responses_err"), Some(2.0));
+        // Both batch keys report the lines the engine evaluated.
+        assert_eq!(json::number_field(serve, "batches"), Some(4.0));
+        assert_eq!(json::number_field(serve, "batched_requests"), Some(4.0));
+        // One flow compiled at registration; both lookups served from it.
         let cache = json::field_value(&resp, "cache").unwrap();
-        assert_eq!(json::number_field(cache, "hits"), Some(1.0));
+        assert_eq!(json::number_field(cache, "hits"), Some(2.0));
         assert_eq!(json::number_field(cache, "misses"), Some(1.0));
+        assert_eq!(json::number_field(cache, "dropped"), Some(0.0));
+        assert_eq!(json::number_field(cache, "poisoned"), Some(0.0));
     }
 
     #[test]

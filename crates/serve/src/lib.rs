@@ -7,17 +7,18 @@
 //! space: a newline-delimited JSON protocol (verbs `list`, `analyze`,
 //! `patch`, `mc`, `stats`, `shutdown`) over `std::net`, with
 //!
-//! * a compiled-program cache keyed by flow hash
-//!   ([`registry::FlowRegistry`], backed by `ipass_sim::Memo`, hit/miss
-//!   counted on the probe plane),
-//! * request batching onto the `ipass-sim` executor
-//!   (one parallel fan-out per accumulated batch),
+//! * a registry that compiles each flow once, at registration
+//!   ([`FlowRegistry`]), so every request shares one
+//!   `Arc<CompiledFlow>`,
+//! * one thread per connection that frames, evaluates
+//!   ([`Engine::handle_line`]) and answers its own requests, so a slow
+//!   request delays only its own connection,
 //! * per-request derived seeds ([`protocol::derived_seed`]) so
 //!   concurrent clients get bit-identical answers regardless of
 //!   interleaving, and
 //! * robustness plumbing: bounded request size, per-connection idle
 //!   timeouts, typed error responses for every failure, graceful
-//!   shutdown that drains in-flight work.
+//!   shutdown that lets in-flight requests finish and be answered.
 //!
 //! DESIGN.md's serving-layer section documents the protocol grammar
 //! and the invariants the test battery enforces; the golden wire
@@ -43,7 +44,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod batch;
 mod client;
 mod engine;
 pub mod protocol;

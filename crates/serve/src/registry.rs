@@ -1,33 +1,31 @@
-//! The flow registry: named flows plus the compiled-program cache.
+//! The flow registry: named flows, each compiled once at registration.
 //!
 //! Compilation (validation, label indexing, op lowering) is the
-//! expensive, shareable step of the compile-once / query-many model;
-//! the registry performs it at most once per flow by keying an
-//! [`ipass_sim::Memo`] on the *flow hash* — FNV-1a over the flow's
-//! canonical debug form. Every request for a flow goes through the
-//! cache, so the hit/miss counters ([`Memo::stats`]) measure exactly
-//! how much compilation the serving layer is amortizing, on the same
-//! probe plane PR 9 introduced.
+//! expensive, shareable step of the compile-once / query-many model,
+//! so [`FlowRegistry::register`] performs it up front and keeps the
+//! outcome. A server owns its registry immutably once started, so a
+//! registered program never goes stale: every request for a flow is
+//! served the same `Arc<CompiledFlow>`, and a flow that fails to
+//! compile answers every request with the same typed error.
 
-use crate::protocol::{fnv1a, ErrorCode, ServeError};
-use ipass_moe::{CompiledFlow, Flow};
-use ipass_sim::Memo;
+use crate::protocol::{ErrorCode, ServeError};
+use ipass_moe::{CompiledFlow, Flow, FlowError};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// A named, registered flow.
+/// A named flow and its compilation outcome.
 #[derive(Debug)]
 struct Entry {
     name: String,
-    flow: Flow,
-    /// FNV-1a over name + debug form — the compiled-program cache key.
-    hash: u64,
+    program: Result<Arc<CompiledFlow>, FlowError>,
 }
 
-/// Registered flows plus the shared compiled-program cache.
+/// Registered flows with their compiled programs.
 #[derive(Debug, Default)]
 pub struct FlowRegistry {
     entries: Vec<Entry>,
-    cache: Memo<u64, CompiledFlow>,
+    /// Lookups that found their flow.
+    lookups: AtomicU64,
 }
 
 impl FlowRegistry {
@@ -36,13 +34,15 @@ impl FlowRegistry {
         FlowRegistry::default()
     }
 
-    /// Register `flow` under `name` (replaces an existing entry of the
-    /// same name — last registration wins, like a patch slot write).
+    /// Compile `flow` and register it under `name` (replaces an
+    /// existing entry of the same name — last registration wins, like a
+    /// patch slot write). A compile failure is kept and reported by
+    /// [`FlowRegistry::compiled`].
     pub fn register(&mut self, name: impl Into<String>, flow: Flow) -> &mut FlowRegistry {
         let name = name.into();
-        let hash = fnv1a(format!("{name}\u{1f}{flow:?}").as_bytes());
+        let program = flow.compiled().map(Arc::new);
         self.entries.retain(|e| e.name != name);
-        self.entries.push(Entry { name, flow, hash });
+        self.entries.push(Entry { name, program });
         self
     }
 
@@ -61,13 +61,12 @@ impl FlowRegistry {
         self.entries.is_empty()
     }
 
-    /// The compiled program for `name`, compiling on first use and
-    /// serving the shared cached copy afterwards.
+    /// The program compiled for `name` at registration, shared.
     ///
     /// # Errors
     ///
     /// [`ErrorCode::UnknownFlow`] for unregistered names,
-    /// [`ErrorCode::EngineError`] when compilation itself fails.
+    /// [`ErrorCode::EngineError`] when compilation itself failed.
     pub fn compiled(&self, name: &str) -> Result<Arc<CompiledFlow>, ServeError> {
         let entry = self
             .entries
@@ -79,15 +78,17 @@ impl FlowRegistry {
                     format!("no flow named {name:?} is registered (try \"list\")"),
                 )
             })?;
-        self.cache
-            .get_or_try_insert_with(entry.hash, || entry.flow.compiled())
+        self.lookups.fetch_add(1, Ordering::Relaxed);
+        entry
+            .program
+            .clone()
             .map_err(|e| ServeError::new(ErrorCode::EngineError, e.to_string()))
     }
 
-    /// Compiled-program cache counters (hits, misses, dropped,
-    /// poisoned).
-    pub fn cache_stats(&self) -> ipass_obs::MemoStats {
-        self.cache.stats()
+    /// Lookups [`FlowRegistry::compiled`] answered from a registered
+    /// entry (unknown names are not counted).
+    pub fn lookups(&self) -> u64 {
+        self.lookups.load(Ordering::Relaxed)
     }
 }
 
@@ -116,24 +117,27 @@ mod tests {
         reg.register("a", toy("a", 1.0))
             .register("b", toy("b", 2.0));
         assert_eq!(reg.names(), vec!["a", "b"]);
+        assert_eq!(reg.lookups(), 0);
         let first = reg.compiled("a").unwrap();
-        let again = reg.compiled("a").unwrap();
-        assert!(Arc::ptr_eq(&first, &again));
-        let stats = reg.cache_stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
+        for _ in 0..3 {
+            assert!(Arc::ptr_eq(&first, &reg.compiled("a").unwrap()));
+        }
+        assert_eq!(reg.lookups(), 4);
+        // An unknown flow is not a lookup.
         assert!(reg.compiled("ghost").is_err());
-        // Unknown flow never touches the cache.
-        assert_eq!(reg.cache_stats().misses, 1);
+        assert_eq!(reg.lookups(), 4);
     }
 
     #[test]
-    fn reregistration_replaces_and_rehashes() {
+    fn reregistration_replaces_the_program() {
         let mut reg = FlowRegistry::new();
         reg.register("a", toy("a", 1.0));
-        let before = reg.compiled("a").unwrap().analyze().unwrap();
+        let old = reg.compiled("a").unwrap();
         reg.register("a", toy("a", 5.0));
         assert_eq!(reg.len(), 1);
-        let after = reg.compiled("a").unwrap().analyze().unwrap();
+        let new = reg.compiled("a").unwrap();
+        assert!(!Arc::ptr_eq(&old, &new));
+        let (before, after) = (old.analyze().unwrap(), new.analyze().unwrap());
         assert!(after.final_cost_per_shipped() > before.final_cost_per_shipped());
     }
 }

@@ -1,20 +1,19 @@
 //! The TCP server: accept loop, per-connection framing, graceful
 //! shutdown.
 //!
-//! Each connection gets a reader thread that frames newline-delimited
+//! Each connection gets one thread that frames newline-delimited
 //! requests, answers framing-level failures (oversized lines, invalid
-//! UTF-8, idle timeouts) with typed errors directly, and hands every
-//! well-framed line to the shared [`Batcher`]. Reads poll with a short
-//! timeout so connections notice the shutdown latch promptly; a
+//! UTF-8, idle timeouts) with typed errors directly, and evaluates
+//! every well-framed line itself through [`Engine::handle_line`], so a
+//! slow request delays only its own connection. Reads poll with a
+//! short timeout so connections notice the shutdown latch promptly; a
 //! `shutdown` request (or [`Server::shutdown`]) stops the accept loop,
 //! lets every in-flight request finish and be answered, then joins all
-//! threads — no request that reached the queue is ever dropped.
+//! threads — no request that reached the engine is ever dropped.
 
-use crate::batch::{BatchHandle, Batcher};
 use crate::engine::Engine;
 use crate::protocol::{ErrorCode, MAX_REQUEST_BYTES};
 use crate::registry::FlowRegistry;
-use ipass_sim::Executor;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
@@ -25,8 +24,6 @@ use std::time::{Duration, Instant};
 /// Server tuning knobs (all have serviceable defaults).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads of the batch executor.
-    pub threads: usize,
     /// Hard bound on one request line, bytes.
     pub max_request_bytes: usize,
     /// Poll granularity of connection reads — the latency bound on
@@ -40,7 +37,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            threads: 2,
             max_request_bytes: MAX_REQUEST_BYTES,
             read_poll: Duration::from_millis(25),
             idle_timeout: Duration::from_secs(300),
@@ -55,7 +51,6 @@ pub struct Server {
     engine: Arc<Engine>,
     accept: Option<JoinHandle<()>>,
     connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    batcher: Batcher,
 }
 
 impl Server {
@@ -73,20 +68,12 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let engine = Arc::new(Engine::new(registry));
-        let batcher = Batcher::start(Arc::clone(&engine), Executor::new(config.threads));
         let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
         let accept_engine = Arc::clone(&engine);
         let accept_connections = Arc::clone(&connections);
-        let batch_handle = batcher.handle();
         let accept = std::thread::spawn(move || {
-            accept_loop(
-                &listener,
-                &accept_engine,
-                &accept_connections,
-                &batch_handle,
-                &config,
-            );
+            accept_loop(&listener, &accept_engine, &accept_connections, &config);
         });
 
         Ok(Server {
@@ -94,7 +81,6 @@ impl Server {
             engine,
             accept: Some(accept),
             connections,
-            batcher,
         })
     }
 
@@ -129,7 +115,7 @@ impl Server {
         self.join();
     }
 
-    /// Drain in-flight work and join all threads. Call after
+    /// Let in-flight requests finish and join all threads. Call after
     /// [`Server::shutdown`] (it is invoked implicitly if shutdown was
     /// requested over the wire).
     pub fn join(mut self) {
@@ -143,7 +129,6 @@ impl Server {
         for handle in handles {
             let _ = handle.join();
         }
-        self.batcher.stop();
     }
 
     /// The accept loop blocks in `accept()`; a throwaway local
@@ -157,7 +142,6 @@ fn accept_loop(
     listener: &TcpListener,
     engine: &Arc<Engine>,
     connections: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-    batcher: &BatchHandle,
     config: &ServerConfig,
 ) {
     for stream in listener.incoming() {
@@ -167,23 +151,17 @@ fn accept_loop(
         let Ok(stream) = stream else { continue };
         engine.serve.connections.fetch_add(1, Ordering::Relaxed);
         let engine = Arc::clone(engine);
-        let batcher = batcher.clone();
         let config = config.clone();
-        let handle =
-            std::thread::spawn(move || serve_connection(stream, &engine, &batcher, &config));
-        connections
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push(handle);
+        let handle = std::thread::spawn(move || serve_connection(stream, &engine, &config));
+        let mut live = connections.lock().unwrap_or_else(|p| p.into_inner());
+        // Closed connections' threads have exited; dropping their
+        // handles keeps the list as long as the open connections.
+        live.retain(|h| !h.is_finished());
+        live.push(handle);
     }
 }
 
-fn serve_connection(
-    mut stream: TcpStream,
-    engine: &Arc<Engine>,
-    batcher: &BatchHandle,
-    config: &ServerConfig,
-) {
+fn serve_connection(mut stream: TcpStream, engine: &Engine, config: &ServerConfig) {
     if stream.set_read_timeout(Some(config.read_poll)).is_err() {
         return;
     }
@@ -200,14 +178,7 @@ fn serve_connection(
             Ok(n) => {
                 last_activity = Instant::now();
                 buf.extend_from_slice(&chunk[..n]);
-                if !drain_lines(
-                    &mut buf,
-                    &mut discarding,
-                    &mut stream,
-                    engine,
-                    batcher,
-                    config,
-                ) {
+                if !drain_lines(&mut buf, &mut discarding, &mut stream, engine, config) {
                     return;
                 }
             }
@@ -240,8 +211,7 @@ fn drain_lines(
     buf: &mut Vec<u8>,
     discarding: &mut bool,
     stream: &mut TcpStream,
-    engine: &Arc<Engine>,
-    batcher: &BatchHandle,
+    engine: &Engine,
     config: &ServerConfig,
 ) -> bool {
     while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
@@ -276,7 +246,7 @@ fn drain_lines(
                 Err(_) => {
                     engine.frame_error(ErrorCode::InvalidUtf8, "request line is not valid UTF-8")
                 }
-                Ok(line) => batcher.submit(line.to_owned()),
+                Ok(line) => engine.handle_line(line),
             }
         };
         if !write_response(stream, engine, &response) {
@@ -302,7 +272,7 @@ fn drain_lines(
     true
 }
 
-fn write_response(stream: &mut TcpStream, engine: &Arc<Engine>, line: &str) -> bool {
+fn write_response(stream: &mut TcpStream, engine: &Engine, line: &str) -> bool {
     let mut bytes = Vec::with_capacity(line.len() + 1);
     bytes.extend_from_slice(line.as_bytes());
     bytes.push(b'\n');
@@ -314,4 +284,36 @@ fn write_response(stream: &mut TcpStream, engine: &Arc<Engine>, line: &str) -> b
         .write_all(&bytes)
         .and_then(|()| stream.flush())
         .is_ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testflow::demo_flow;
+    use std::net::Shutdown;
+
+    #[test]
+    fn finished_connection_handles_are_reaped() {
+        let mut registry = FlowRegistry::new();
+        registry.register("demo", demo_flow());
+        let server = Server::start(registry, "127.0.0.1:0", ServerConfig::default()).unwrap();
+        for _ in 0..64 {
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            stream.write_all(b"{\"verb\":\"list\"}\n").unwrap();
+            stream.shutdown(Shutdown::Write).unwrap();
+            // The server answers, reads end-of-stream and closes its
+            // side: reading to the end waits for that thread to return.
+            let mut answer = String::new();
+            stream.read_to_string(&mut answer).unwrap();
+            assert!(answer.starts_with(r#"{"ok":true"#), "{answer}");
+        }
+        let live = server
+            .connections
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .len();
+        assert!(live <= 4, "{live} handles kept after 64 closed connections");
+        server.shutdown();
+        server.join();
+    }
 }

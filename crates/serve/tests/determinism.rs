@@ -1,9 +1,9 @@
 //! Concurrency determinism on the wire: N in-process clients issuing
 //! shuffled request streams must get responses byte-identical to the
-//! same requests evaluated serially, for executor thread counts 1, 2
-//! and 8 — the PR-1/PR-9 bit-identity contract extended to the serving
-//! layer. The `stats` verb is excluded by design (it reports live
-//! counters); everything else is a pure function of request content.
+//! same requests evaluated serially, on several fresh servers — the
+//! bit-identity contract of the engines extended to the serving layer.
+//! The `stats` verb is excluded by design (it reports live counters);
+//! everything else is a pure function of request content.
 
 use ipass_serve::{testflow, Client, FlowRegistry, Server, ServerConfig};
 use std::collections::HashMap;
@@ -55,7 +55,7 @@ fn shuffle<T>(items: &mut [T], mut state: u64) {
 }
 
 #[test]
-fn concurrent_responses_are_byte_identical_to_serial_for_threads_1_2_8() {
+fn concurrent_responses_are_byte_identical_to_serial() {
     let reqs = requests();
     // The serial reference: one fresh server, one client, request
     // order as written.
@@ -71,25 +71,21 @@ fn concurrent_responses_are_byte_identical_to_serial_for_threads_1_2_8() {
         map
     };
 
-    for threads in [1usize, 2, 8] {
-        let config = ServerConfig {
-            threads,
-            ..ServerConfig::default()
-        };
-        let server = Server::start(registry(), "127.0.0.1:0", config).unwrap();
+    for round in 0..3u64 {
+        let server = Server::start(registry(), "127.0.0.1:0", ServerConfig::default()).unwrap();
         let addr = server.addr();
         std::thread::scope(|scope| {
             for client_id in 0..6u64 {
                 let reference = &reference;
                 let mut stream = reqs.clone();
                 scope.spawn(move || {
-                    shuffle(&mut stream, 0x9e37_79b9 * (client_id + 1) + threads as u64);
+                    shuffle(&mut stream, 0x9e37_79b9 * (client_id + 1) + round);
                     let mut client = Client::connect(addr).unwrap();
                     for req in &stream {
                         let resp = client.request(req).unwrap();
                         assert_eq!(
                             &resp, &reference[req],
-                            "threads={threads} client={client_id} req={req}"
+                            "round={round} client={client_id} req={req}"
                         );
                     }
                 });
@@ -103,14 +99,14 @@ fn concurrent_responses_are_byte_identical_to_serial_for_threads_1_2_8() {
 #[test]
 fn equal_mc_requests_agree_across_distinct_servers() {
     // Seed derivation is a pure function of request content, so two
-    // independent servers — different uptime, different caches — must
-    // return identical bytes for an identical request.
+    // independent servers must return identical bytes for an identical
+    // request.
     let req = r#"{"verb":"mc","flow":"demo","units":2000,"seed":123}"#;
     let mut answers = Vec::new();
     for _ in 0..2 {
         let server = Server::start(registry(), "127.0.0.1:0", ServerConfig::default()).unwrap();
         let mut client = Client::connect(server.addr()).unwrap();
-        // Warm one server's cache differently on purpose.
+        // Serve another request first, so the mc is not the first.
         let _ = client.request(r#"{"verb":"analyze","flow":"demo2"}"#);
         answers.push(client.request(req).unwrap());
         server.shutdown();

@@ -85,9 +85,10 @@ fn golden_wire_verbs() {
 #[test]
 fn golden_wire_stats() {
     // The stats counters are deterministic for a serial, single-client
-    // history on a fresh server: two analyzes (one cache miss, one
-    // hit) then stats. `batches` equals dispatched requests because a
-    // lone blocking client never accumulates a deeper queue.
+    // history on a fresh server: two analyzes then stats. The cache
+    // reports one flow compiled at registration and both lookups served
+    // from it; `batches` and `batched_requests` both count the lines the
+    // engine evaluated, because each request is its own dispatch.
     check(
         "stats.txt",
         &transcript(&[

@@ -3,8 +3,10 @@
 //! serving — never a panic, a hang, or a silently closed connection.
 
 use ipass_report::json;
-use ipass_serve::{testflow, Client, ErrorCode, FlowRegistry, Server, ServerConfig};
-use std::time::Duration;
+use ipass_serve::{testflow, Client, ErrorCode, FlowRegistry, Server, ServerConfig, MAX_MC_UNITS};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 fn server() -> Server {
     let mut registry = FlowRegistry::new();
@@ -263,4 +265,54 @@ fn shutdown_drains_in_flight_work() {
     assert_eq!(json::string_field(&resp, "ok"), Some("true"), "{resp}");
     assert_eq!(json::string_field(&resp, "verb"), Some("mc"));
     server.wait();
+}
+
+#[test]
+fn a_long_request_does_not_delay_another_connection() {
+    let server = server();
+    let addr = server.addr();
+    // Connection A: the longest Monte Carlo run the protocol accepts
+    // (shorter runs can finish within one scheduler slice of an
+    // optimized build), on a raw socket so its answer can be looked for
+    // without blocking.
+    let mut slow = TcpStream::connect(addr).unwrap();
+    let mc = format!(r#"{{"verb":"mc","flow":"demo","units":{MAX_MC_UNITS},"seed":9}}"#);
+    slow.write_all(format!("{mc}\n").as_bytes()).unwrap();
+    // Connection B polls `stats` until the server has seen one request
+    // beyond B's own polls: A's line is then inside the engine.
+    let mut other = Client::connect(addr).unwrap();
+    let began = Instant::now();
+    let mut polls = 0.0;
+    loop {
+        let stats = other.request(r#"{"verb":"stats"}"#).unwrap();
+        polls += 1.0;
+        let serve = json::field_value(&stats, "serve").expect("serve member");
+        if json::number_field(serve, "requests").expect("requests") > polls {
+            break;
+        }
+        assert!(
+            began.elapsed() < Duration::from_secs(60),
+            "the mc request never reached the engine"
+        );
+    }
+    let resp = other
+        .request(r#"{"verb":"analyze","flow":"demo"}"#)
+        .unwrap();
+    assert_eq!(json::string_field(&resp, "verb"), Some("analyze"), "{resp}");
+    // B has its answer; A's has not arrived yet.
+    slow.set_nonblocking(true).unwrap();
+    let pending = slow.peek(&mut [0u8; 1]).map_err(|e| e.kind());
+    assert_eq!(
+        pending,
+        Err(ErrorKind::WouldBlock),
+        "the analyze answer waited for the mc answer"
+    );
+    slow.set_nonblocking(false).unwrap();
+    slow.set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut answer = String::new();
+    BufReader::new(slow).read_line(&mut answer).unwrap();
+    assert_eq!(json::string_field(&answer, "verb"), Some("mc"), "{answer}");
+    server.shutdown();
+    server.join();
 }

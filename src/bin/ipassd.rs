@@ -1,14 +1,14 @@
 //! `ipassd` — the long-running serving daemon for compiled flows.
 //!
-//! Boots the four committed paper solutions into a
+//! Compiles the four committed paper solutions into a
 //! [`FlowRegistry`] and serves the
 //! newline-delimited JSON protocol (verbs `list`, `analyze`, `patch`,
-//! `mc`, `stats`, `shutdown`) on a TCP listener:
+//! `mc`, `stats`, `shutdown`) on a TCP listener, answering each
+//! connection's requests on that connection's own thread:
 //!
 //! ```text
 //! ipassd                                # serve on 127.0.0.1:7171
 //! ipassd --addr 127.0.0.1:9000         # serve elsewhere
-//! ipassd --threads 4                   # executor width for batches
 //! ipassd --smoke                       # boot, self-test every verb, exit
 //! echo '{"verb":"analyze","flow":"solution2"}' | nc 127.0.0.1 7171
 //! ```
@@ -19,18 +19,16 @@
 use ipass_serve::{Client, FlowRegistry, Server, ServerConfig};
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: ipassd [--addr HOST:PORT] [--threads N] [--smoke]\n\
+const USAGE: &str = "usage: ipassd [--addr HOST:PORT] [--smoke]\n\
     \n\
     options:\n\
     \x20 --addr HOST:PORT   listen address (default 127.0.0.1:7171)\n\
-    \x20 --threads N        executor threads for request batches (default 2)\n\
     \x20 --smoke            boot on an ephemeral port, run one query per verb\n\
     \x20                    plus one malformed request, then shut down\n";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut addr = String::from("127.0.0.1:7171");
-    let mut threads = 2usize;
     let mut smoke = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -41,17 +39,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 };
                 addr = a.clone();
-            }
-            "--threads" => {
-                let Some(n) = it
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|n| *n > 0)
-                else {
-                    eprintln!("ipassd: --threads needs a positive integer\n{USAGE}");
-                    return ExitCode::FAILURE;
-                };
-                threads = n;
             }
             "--smoke" => smoke = true,
             "--help" | "-h" => {
@@ -74,27 +61,20 @@ fn main() -> ExitCode {
     };
 
     if smoke {
-        return smoke_test(registry, threads);
+        return smoke_test(registry);
     }
 
-    let config = ServerConfig {
-        threads,
-        ..ServerConfig::default()
-    };
-    let server = match Server::start(registry, &addr, config) {
+    let server = match Server::start(registry, &addr, ServerConfig::default()) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("ipassd: cannot bind {addr}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    eprintln!(
-        "info: ipassd serving on {} ({threads} executor threads)",
-        server.addr()
-    );
+    eprintln!("info: ipassd serving on {}", server.addr());
     eprintln!("info: send {{\"verb\":\"shutdown\"}} to stop");
-    // Blocks until a client sends the shutdown verb; in-flight work is
-    // drained before the listener threads join.
+    // Blocks until a client sends the shutdown verb; in-flight requests
+    // are answered before the connection threads join.
     server.wait();
     eprintln!("info: ipassd shut down cleanly");
     ExitCode::SUCCESS
@@ -120,12 +100,8 @@ fn build_registry() -> Result<FlowRegistry, ipass_gps::experiments::ExperimentEr
 /// one malformed line through a real client, check every answer, and
 /// shut down cleanly. Exercises the same code path CI's serve-smoke
 /// step gates on.
-fn smoke_test(registry: FlowRegistry, threads: usize) -> ExitCode {
-    let config = ServerConfig {
-        threads,
-        ..ServerConfig::default()
-    };
-    let server = match Server::start(registry, "127.0.0.1:0", config) {
+fn smoke_test(registry: FlowRegistry) -> ExitCode {
+    let server = match Server::start(registry, "127.0.0.1:0", ServerConfig::default()) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("ipassd: smoke bind failed: {e}");
