@@ -96,35 +96,6 @@ fn bench_mc_probe(c: &mut Criterion) {
     group.finish();
 }
 
-/// The `ipass-sim` memo table under a skewed (80/20-style) key mix:
-/// per-lookup cost of `get_or_insert_with` once the cache is warm. The
-/// measured hit rate off the memo's own counters rides the baseline as
-/// `memo_hit_rate`.
-fn bench_memo_cache(c: &mut Criterion) {
-    use ipass_sim::Memo;
-
-    const LOOKUPS: u64 = 10_000;
-    let memo: Memo<u64, f64> = Memo::new();
-    let key = |i: u64| (i * 31) % 64; // 64 hot keys
-    for i in 0..LOOKUPS {
-        memo.get_or_insert_with(key(i), || i as f64);
-    }
-    let warm = memo.stats();
-    let lookups = warm.hits + warm.misses;
-
-    let mut group = c.benchmark_group("memo_cache");
-    group.throughput(Throughput::Elements(LOOKUPS));
-    group.memo_hit_rate(warm.hits as f64 / lookups as f64);
-    group.bench_function("warm_10k", |b| {
-        b.iter(|| {
-            for i in 0..LOOKUPS {
-                black_box(memo.get_or_insert_with(key(i), || i as f64));
-            }
-        })
-    });
-    group.finish();
-}
-
 fn bench_mc_lane_widths(c: &mut Criterion) {
     // Width sweep at fixed unit count: how far the SoA lane loops
     // vectorize on this host. Width 1 is the scalar fallback path.
@@ -205,13 +176,14 @@ fn bench_sweep_analytic(c: &mut Criterion) {
     group.throughput(Throughput::Elements(POINTS));
     group.bench_function("rebuild", |b| {
         b.iter(|| {
-            let points = ipass_moe::sweep_with(&serial, xs.iter().copied(), |x| {
-                let mut card = base_card.clone();
-                card.substrate_cost_per_cm2 = card.substrate_cost_per_cm2 * x;
-                plan.production_flow(area, &card)
-            })
-            .unwrap();
-            black_box(points)
+            let reports = serial
+                .try_map(&xs, |_, &x| {
+                    let mut card = base_card.clone();
+                    card.substrate_cost_per_cm2 = card.substrate_cost_per_cm2 * x;
+                    plan.production_flow(area, &card)?.analyze()
+                })
+                .unwrap();
+            black_box(reports)
         })
     });
     group.bench_function("patched", |b| {
@@ -498,7 +470,6 @@ criterion_group!(
     bench_mc_scaling,
     bench_mc_batch,
     bench_mc_probe,
-    bench_memo_cache,
     bench_mc_lane_widths,
     bench_mc_threads,
     bench_analytic,

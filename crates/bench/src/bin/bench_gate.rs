@@ -342,10 +342,12 @@ mod tests {
 
     #[test]
     fn gate_tolerates_probe_metadata_fields_in_either_file() {
-        // Newer baselines carry `draws_per_elem` / `memo_hit_rate`
-        // probe snapshots; older ones don't. The gate must read its
-        // timing fields identically from both generations, in either
-        // position (baseline or current).
+        // Newer baselines carry probe snapshots such as
+        // `draws_per_elem`, and the committed ones still carry
+        // `memo_hit_rate`, which fresh runs no longer write; the oldest
+        // carry neither. The gate must read its timing fields
+        // identically from every generation, in either position
+        // (baseline or current).
         let old = r#"[{"id": "mc_units_batch/100000", "mean_ns": 961000.0, "elements": 100000, "ns_per_elem": 9.61, "threads": 1, "lane_width": 64}]"#;
         let new = r#"[{"id": "mc_units_batch/100000", "mean_ns": 961000.0, "elements": 100000, "ns_per_elem": 9.61, "threads": 1, "lane_width": 64, "draws_per_elem": 6.7413, "memo_hit_rate": null}]"#;
         assert_eq!(ns_per_element(old, "mc_units_batch/100000"), Some(9.61));

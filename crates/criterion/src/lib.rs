@@ -45,9 +45,6 @@ pub struct BenchResult {
     /// snapshot via [`BenchmarkGroup::draws_per_elem`] — the workload's
     /// exact per-element randomness cost, independent of timing noise.
     pub draws_per_elem: Option<f64>,
-    /// Memo-cache hit rate (hits over lookups), when the case declared
-    /// one via [`BenchmarkGroup::memo_hit_rate`].
-    pub memo_hit_rate: Option<f64>,
     /// Median per-element latency in nanoseconds, when the case
     /// measured one itself via [`BenchmarkGroup::latency_ns`] (load
     /// harnesses time individual requests; the harness's own samples
@@ -188,7 +185,6 @@ impl Criterion {
             threads: meta.threads,
             lane_width: meta.lane_width,
             draws_per_elem: meta.draws_per_elem,
-            memo_hit_rate: meta.memo_hit_rate,
             p50_ns: meta.p50_ns,
             p99_ns: meta.p99_ns,
         };
@@ -212,7 +208,6 @@ struct CaseMeta {
     threads: Option<usize>,
     lane_width: Option<usize>,
     draws_per_elem: Option<f64>,
-    memo_hit_rate: Option<f64>,
     p50_ns: Option<f64>,
     p99_ns: Option<f64>,
 }
@@ -255,13 +250,6 @@ impl BenchmarkGroup<'_> {
     /// baselines self-describe their randomness cost).
     pub fn draws_per_elem(&mut self, draws: f64) -> &mut Self {
         self.meta.draws_per_elem = Some(draws);
-        self
-    }
-
-    /// Attach a probe-measured memo hit rate (hits over lookups) to the
-    /// group's subsequent cases.
-    pub fn memo_hit_rate(&mut self, rate: f64) -> &mut Self {
-        self.meta.memo_hit_rate = Some(rate);
         self
     }
 
@@ -495,8 +483,7 @@ pub fn finalize(results: &[BenchResult]) {
             "  {{\"id\": \"{}\", \"mean_ns\": {:.1}, \"min_ns\": {:.1}, \"max_ns\": {:.1}, \
              \"samples\": {}, \"iters_per_sample\": {}, \"elements\": {}, \"ns_per_elem\": {}, \
              \"threads\": {}, \"lane_width\": {}, \"draws_per_elem\": {}, \
-             \"memo_hit_rate\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"nproc\": {nproc}, \
-             \"git_rev\": \"{git_rev}\"}}{}\n",
+             \"p50_ns\": {}, \"p99_ns\": {}, \"nproc\": {nproc}, \"git_rev\": \"{git_rev}\"}}{}\n",
             r.id.replace('"', "'"),
             r.mean_ns,
             r.min_ns,
@@ -510,8 +497,6 @@ pub fn finalize(results: &[BenchResult]) {
             r.lane_width.map_or("null".to_string(), |w| w.to_string()),
             r.draws_per_elem
                 .map_or("null".to_string(), |d| format!("{d:.4}")),
-            r.memo_hit_rate
-                .map_or("null".to_string(), |h| format!("{h:.4}")),
             r.p50_ns.map_or("null".to_string(), |p| format!("{p:.1}")),
             r.p99_ns.map_or("null".to_string(), |p| format!("{p:.1}")),
             if i + 1 < results.len() { "," } else { "" },

@@ -799,60 +799,52 @@ pub fn fig6() -> Result<Fig6, ExperimentError> {
 /// that results were compared "for different cost and yield
 /// implications" becomes a chart.
 ///
-/// The production line is planned and compiled **once**; every variant
-/// is a [`ipass_moe::FlowPatch`] overwriting the relevant parameter
-/// slots of the shared compiled program — no per-variant flow rebuild
-/// (the pre-patching implementation built `1 + 2·6` full flows). When a
-/// perturbed parameter was compiled away (a degenerate card — e.g. a
-/// certain substrate yield leaves no yield slot to patch), the
-/// experiment falls back to that rebuild-per-variant path, so the
-/// domain of valid cards is unchanged.
+/// The production line is planned and compiled **once**. One
+/// dual-carrying analytic walk
+/// ([`Tornado::evaluate_gradients`](ipass_moe::Tornado::evaluate_gradients))
+/// covers the baseline and every pure-cost row at once — final cost is
+/// affine in each cost slot, so the gradient extrapolation
+/// `baseline + ∂cost/∂scale · Δ` is *exact*, not first-order. Only the
+/// two rows whose large steps move cohort masses nonlinearly — the
+/// KGS-coupled substrate-yield shift and the 99.9 → 95 % coverage drop
+/// — are re-evaluated as [`ipass_moe::FlowPatch`]es of the shared
+/// program: `1 + 4` walks in all.
 ///
 /// # Errors
 ///
 /// Returns [`ExperimentError`] if planning or evaluation fails.
 pub fn sensitivity(solution_index: usize) -> Result<ipass_moe::Tornado, ExperimentError> {
+    use ipass_moe::{
+        DualDirection, FlowPatch, SlotKind, StepCost, Tornado, TornadoDirection, TornadoRow,
+    };
+    use ipass_units::Probability;
+
     let buildup = BuildUp::paper_solutions()[solution_index];
     let plan = buildup.plan(&gps_bom(&buildup), SelectionObjective::MinArea)?;
     let area = plan.area().substrate_area;
     let base_card = cost_inputs(&buildup);
-    match sensitivity_patched(&plan, area, &base_card) {
-        Err(FlowError::UnknownPatchSlot { .. }) => sensitivity_rebuild(&plan, area, &base_card),
-        other => Ok(other?),
-    }
-}
-
-/// The fast path: one dual-carrying analytic walk covers the baseline
-/// and every pure-cost row at once — final cost is affine in each cost
-/// slot, so the gradient extrapolation `baseline + ∂cost/∂scale · Δ` is
-/// *exact*, not first-order (see
-/// [`CompiledFlow::analyze_duals`](ipass_moe::CompiledFlow::analyze_duals)).
-/// Only the two rows whose large steps move cohort masses nonlinearly —
-/// the KGS-coupled substrate-yield shift and the 99.9 → 95 % coverage
-/// drop — are still re-evaluated as patches. The pre-dual
-/// implementation paid `1 + 2·n` full walks for n rows; this pays
-/// `1 + 4`.
-fn sensitivity_patched(
-    plan: &BuildUpPlan,
-    area: ipass_units::Area,
-    base_card: &ipass_core::CostInputs,
-) -> Result<ipass_moe::Tornado, FlowError> {
-    use ipass_moe::{DualDirection, FlowPatch, SlotKind, StepCost, Tornado, TornadoRow};
-    use ipass_units::Probability;
-
-    let flow = plan.production_flow(area, base_card)?;
+    let flow = plan.production_flow(area, &base_card)?;
     let compiled = flow.compiled()?;
     let carrier = flow.line().carrier().name().to_owned();
 
-    // A "scale this slot by a factor" direction: weighting each slot by
-    // its current per-unit cost makes the lane's derivative
+    // A "scale these slots by ±delta" row: weighting each slot by its
+    // current per-unit cost makes the lane's derivative
     // ∂cost/∂(scale factor), so a ±x % row extrapolates with Δ = ±x/100.
-    let scale_dir = |slots: &[String]| -> Result<DualDirection, FlowError> {
-        let mut dir = DualDirection::new();
+    let scale_row = |name: &'static str,
+                     slots: &[String],
+                     delta: f64|
+     -> Result<TornadoDirection<'static>, FlowError> {
+        let mut direction = DualDirection::new();
         for slot in slots {
-            dir = dir.with(slot, SlotKind::Cost, compiled.slot_unit_cost(slot)?.units());
+            direction =
+                direction.with(slot, SlotKind::Cost, compiled.slot_unit_cost(slot)?.units());
         }
-        Ok(dir)
+        Ok(TornadoDirection {
+            name,
+            direction,
+            low: -delta,
+            high: delta,
+        })
     };
     let chip_slots: Vec<String> = base_card
         .chips
@@ -860,38 +852,22 @@ fn sensitivity_patched(
         .map(|chip| format!("chip assembly/{}", chip.name))
         .collect();
     let mut cost_rows = vec![
-        ("chip cost ±10 %", scale_dir(&chip_slots)?, 0.1),
-        (
+        scale_row("chip cost ±10 %", &chip_slots, 0.1)?,
+        scale_row(
             "substrate cost/cm² ±20 %",
-            scale_dir(std::slice::from_ref(&carrier))?,
+            std::slice::from_ref(&carrier),
             0.2,
-        ),
-        (
-            "test cost ±50 %",
-            scale_dir(&["functional test".to_owned()])?,
-            0.5,
-        ),
+        )?,
+        scale_row("test cost ±50 %", &["functional test".to_owned()], 0.5)?,
     ];
     if base_card.packaging.is_some() {
-        cost_rows.push((
+        cost_rows.push(scale_row(
             "packaging cost ±30 %",
-            scale_dir(&["packaging / mount on laminate".to_owned()])?,
+            &["packaging / mount on laminate".to_owned()],
             0.3,
-        ));
+        )?);
     }
-
-    let directions: Vec<DualDirection> = cost_rows.iter().map(|(_, d, _)| d.clone()).collect();
-    let dual = compiled.analyze_duals(&directions)?;
-    let baseline = dual.report.final_cost_per_shipped().units();
-    let mut rows: Vec<TornadoRow> = cost_rows
-        .iter()
-        .zip(&dual.gradients)
-        .map(|((name, _, delta), g)| TornadoRow {
-            name: (*name).to_owned(),
-            low_cost: baseline - g.final_cost_per_shipped * delta,
-            high_cost: baseline + g.final_cost_per_shipped * delta,
-        })
-        .collect();
+    let exact = Tornado::evaluate_gradients(&compiled, &cost_rows)?;
 
     let shift_substrate_yield = |delta: f64| -> Result<FlowPatch, FlowError> {
         let mut patch = compiled.patch();
@@ -914,6 +890,7 @@ fn sensitivity_patched(
     let patched_cost = |patch: Result<FlowPatch, FlowError>| -> Result<f64, FlowError> {
         Ok(patch?.analyze()?.final_cost_per_shipped().units())
     };
+    let mut rows = exact.rows().to_vec();
     rows.push(TornadoRow {
         name: "substrate yield ∓5 pts".to_owned(),
         low_cost: patched_cost(shift_substrate_yield(0.05))?,
@@ -924,91 +901,7 @@ fn sensitivity_patched(
         low_cost: patched_cost(set_coverage(0.999))?,
         high_cost: patched_cost(set_coverage(0.95))?,
     });
-    Ok(Tornado::from_rows(baseline, rows))
-}
-
-/// The rebuild fallback (the pre-patching implementation, kept for
-/// degenerate cards whose perturbed parameters compiled away): every
-/// variant is a freshly built flow from a modified cost card.
-fn sensitivity_rebuild(
-    plan: &BuildUpPlan,
-    area: ipass_units::Area,
-    base_card: &ipass_core::CostInputs,
-) -> Result<ipass_moe::Tornado, ExperimentError> {
-    use ipass_moe::TornadoInput;
-    use ipass_units::{Money, Probability};
-
-    let flow_for = |card: &ipass_core::CostInputs| plan.production_flow(area, card);
-    let baseline = flow_for(base_card)?;
-
-    let scale_chips = |factor: f64| {
-        let mut card = base_card.clone();
-        for chip in card.chips.iter_mut() {
-            chip.cost = chip.cost * factor;
-        }
-        card
-    };
-    let scale_substrate = |factor: f64| {
-        let mut card = base_card.clone();
-        card.substrate_cost_per_cm2 = card.substrate_cost_per_cm2 * factor;
-        card
-    };
-    let shift_substrate_yield = |delta: f64| {
-        let mut card = base_card.clone();
-        let y = Probability::clamped(card.substrate_yield.value() + delta);
-        card.substrate_yield = y;
-        card.substrate_fab_yield_per_cm2 = card.substrate_fab_yield_per_cm2.map(|_| y);
-        card
-    };
-    let set_coverage = |cov: f64| {
-        let mut card = base_card.clone();
-        card.fault_coverage = Probability::clamped(cov);
-        card
-    };
-    let scale_packaging = |factor: f64| {
-        let mut card = base_card.clone();
-        card.packaging = card.packaging.map(|(c, y)| (c * factor, y));
-        card
-    };
-    let scale_test = |factor: f64| {
-        let mut card = base_card.clone();
-        card.final_test_cost = Money::new(card.final_test_cost.units() * factor);
-        card
-    };
-
-    let inputs = vec![
-        TornadoInput {
-            name: "chip cost ±10 %",
-            low: flow_for(&scale_chips(0.9))?,
-            high: flow_for(&scale_chips(1.1))?,
-        },
-        TornadoInput {
-            name: "substrate cost/cm² ±20 %",
-            low: flow_for(&scale_substrate(0.8))?,
-            high: flow_for(&scale_substrate(1.2))?,
-        },
-        TornadoInput {
-            name: "substrate yield ∓5 pts",
-            low: flow_for(&shift_substrate_yield(0.05))?,
-            high: flow_for(&shift_substrate_yield(-0.05))?,
-        },
-        TornadoInput {
-            name: "fault coverage 99.9 → 95 %",
-            low: flow_for(&set_coverage(0.999))?,
-            high: flow_for(&set_coverage(0.95))?,
-        },
-        TornadoInput {
-            name: "test cost ±50 %",
-            low: flow_for(&scale_test(0.5))?,
-            high: flow_for(&scale_test(1.5))?,
-        },
-        TornadoInput {
-            name: "packaging cost ±30 %",
-            low: flow_for(&scale_packaging(0.7))?,
-            high: flow_for(&scale_packaging(1.3))?,
-        },
-    ];
-    Ok(ipass_moe::Tornado::evaluate(&baseline, inputs)?)
+    Ok(Tornado::from_rows(exact.baseline_cost(), rows))
 }
 
 // ---------------------------------------------------------------------
@@ -1348,25 +1241,72 @@ mod tests {
     }
 
     #[test]
-    fn sensitivity_fallback_agrees_with_patched_fast_path() {
-        // The rebuild fallback (taken for degenerate cards) and the
-        // patched fast path must describe the same tornado on a
-        // regular card.
-        let buildup = BuildUp::paper_solutions()[3];
-        let plan = buildup
-            .plan(&gps_bom(&buildup), SelectionObjective::MinArea)
-            .unwrap();
-        let area = plan.area().substrate_area;
-        let card = cost_inputs(&buildup);
-        let patched = sensitivity_patched(&plan, area, &card).unwrap();
-        let rebuilt = sensitivity_rebuild(&plan, area, &card).unwrap();
-        assert_eq!(patched.baseline_cost(), rebuilt.baseline_cost());
-        assert_eq!(patched.rows().len(), rebuilt.rows().len());
-        for (a, b) in patched.rows().iter().zip(rebuilt.rows().iter()) {
-            assert_eq!(a.name, b.name);
-            let close = |x: f64, y: f64| (x - y).abs() <= 1e-9 * x.abs().max(1.0);
-            assert!(close(a.low_cost, b.low_cost), "{}: low", a.name);
-            assert!(close(a.high_cost, b.high_cost), "{}: high", a.name);
+    fn sensitivity_matches_rebuilt_cards_on_every_solution() {
+        // The reference builds each variant's production flow from a
+        // modified cost card and analyzes it. Agreement on all four
+        // committed cards also shows that none of them compiles a
+        // perturbed parameter away.
+        use ipass_units::{Money, Probability};
+
+        let close = |x: f64, y: f64| (x - y).abs() <= 1e-9 * x.abs().max(1.0);
+        for (index, buildup) in BuildUp::paper_solutions().into_iter().enumerate() {
+            let plan = buildup
+                .plan(&gps_bom(&buildup), SelectionObjective::MinArea)
+                .unwrap();
+            let area = plan.area().substrate_area;
+            let base = cost_inputs(&buildup);
+            let cost = |card: &ipass_core::CostInputs| {
+                let report = plan.production_flow(area, card).unwrap().analyze().unwrap();
+                report.final_cost_per_shipped().units()
+            };
+            let card_for = |row: &str, high: bool| {
+                let pick = |low: f64, hi: f64| if high { hi } else { low };
+                let mut card = base.clone();
+                match row {
+                    "chip cost ±10 %" => {
+                        for chip in card.chips.iter_mut() {
+                            chip.cost = chip.cost * pick(0.9, 1.1);
+                        }
+                    }
+                    "substrate cost/cm² ±20 %" => {
+                        card.substrate_cost_per_cm2 = card.substrate_cost_per_cm2 * pick(0.8, 1.2);
+                    }
+                    "substrate yield ∓5 pts" => {
+                        let y =
+                            Probability::clamped(card.substrate_yield.value() + pick(0.05, -0.05));
+                        card.substrate_yield = y;
+                        card.substrate_fab_yield_per_cm2 =
+                            card.substrate_fab_yield_per_cm2.map(|_| y);
+                    }
+                    "fault coverage 99.9 → 95 %" => {
+                        card.fault_coverage = Probability::clamped(pick(0.999, 0.95));
+                    }
+                    "test cost ±50 %" => {
+                        card.final_test_cost =
+                            Money::new(card.final_test_cost.units() * pick(0.5, 1.5));
+                    }
+                    "packaging cost ±30 %" => {
+                        card.packaging = card.packaging.map(|(c, y)| (c * pick(0.7, 1.3), y));
+                    }
+                    other => panic!("unexpected row {other:?}"),
+                }
+                card
+            };
+
+            let tornado = sensitivity(index).unwrap();
+            let solution = index + 1;
+            assert_eq!(tornado.baseline_cost(), cost(&base), "solution {solution}");
+            let rows = if base.packaging.is_some() { 6 } else { 5 };
+            assert_eq!(tornado.rows().len(), rows, "solution {solution}");
+            for row in tornado.rows() {
+                let name = &row.name;
+                let (low, high) = (cost(&card_for(name, false)), cost(&card_for(name, true)));
+                assert!(close(row.low_cost, low), "solution {solution}: {name} low");
+                assert!(
+                    close(row.high_cost, high),
+                    "solution {solution}: {name} high"
+                );
+            }
         }
     }
 

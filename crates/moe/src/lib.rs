@@ -106,11 +106,10 @@ pub use mc::{SimOptions, SimSummary, DEFAULT_LANE_WIDTH, DEFAULT_SUBASSEMBLY_RET
 pub use part::{AttachInput, Part};
 pub use patch::{analyze_patched_batch, CompiledFlow, FlowPatch, PatchDirective};
 pub use report::{CostBreakdownRow, CostReport};
-pub use sensitivity::{Tornado, TornadoDirection, TornadoInput, TornadoPatch, TornadoRow};
+pub use sensitivity::{Tornado, TornadoDirection, TornadoPatch, TornadoRow};
 pub use stage::{Attach, FailAction, Process, Rework, Stage, Test};
 pub use sweep::{
-    find_crossover, sweep, sweep_patched, sweep_patched_with, sweep_series, sweep_with,
-    CrossoverError, SweepPoint,
+    find_crossover, sweep_patched, sweep_patched_with, sweep_series, CrossoverError, SweepPoint,
 };
 pub use verify::{CountInterval, Interval, StaticBounds};
 pub use yield_model::{DefectModel, YieldModel};

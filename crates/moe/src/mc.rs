@@ -253,10 +253,8 @@ pub(crate) fn simulate_program_profiled(
     let executor = Executor::new(options.threads);
     let run_options = RunOptions { stop };
     let outcome = match profiler {
-        Some(p) => {
-            executor.run_batch_traced(&sampler, options.units, options.seed, &run_options, p)?
-        }
-        None => executor.run_batch_with(&sampler, options.units, options.seed, &run_options)?,
+        Some(p) => executor.run_traced(&sampler, options.units, options.seed, &run_options, p)?,
+        None => executor.run_with(&sampler, options.units, options.seed, &run_options)?,
     };
     summarize(
         program.line_name(),

@@ -2,31 +2,22 @@
 //!
 //! The paper compares "the results for different cost and yield
 //! implications"; this module systematizes that: perturb each input to
-//! its low/high variant, re-evaluate the flow analytically, and rank the
-//! inputs by their cost swing.
+//! its low/high variant on the flow's compiled program, evaluate it
+//! analytically, and rank the inputs by their cost swing. A variant is
+//! either a [`FlowPatch`] that is re-evaluated
+//! ([`Tornado::evaluate_patches`]) or a derivative direction that one
+//! dual pass extrapolates ([`Tornado::evaluate_gradients`]);
+//! [`Tornado::from_rows`] mixes the two.
 
 use crate::dual::DualDirection;
 use crate::error::FlowError;
-use crate::flow::Flow;
 use crate::patch::{CompiledFlow, FlowPatch};
 use ipass_sim::Executor;
 use std::fmt;
 
-/// One input parameter with its low/high flow variants.
-#[derive(Debug)]
-pub struct TornadoInput<'a> {
-    /// Parameter label.
-    pub name: &'a str,
-    /// The flow with the parameter at its low value.
-    pub low: Flow,
-    /// The flow with the parameter at its high value.
-    pub high: Flow,
-}
-
 /// One input parameter as a pair of patches on a shared compiled
-/// program — the fast form of [`TornadoInput`]: the production line is
-/// compiled once and each variant overwrites a few parameter slots
-/// (see [`FlowPatch`]) instead of rebuilding a whole flow.
+/// program: the production line is compiled once and each variant
+/// overwrites a few parameter slots (see [`FlowPatch`]).
 #[derive(Debug)]
 pub struct TornadoPatch<'a> {
     /// Parameter label.
@@ -82,45 +73,10 @@ pub struct Tornado {
 }
 
 impl Tornado {
-    /// Evaluate the baseline and every input variant analytically.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any flow is invalid or ships nothing.
-    pub fn evaluate(baseline: &Flow, inputs: Vec<TornadoInput<'_>>) -> Result<Tornado, FlowError> {
-        Tornado::evaluate_with(&Executor::available(), baseline, inputs)
-    }
-
-    /// [`Tornado::evaluate`] on an explicit executor; the baseline and
-    /// every low/high variant are analyzed in parallel.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any flow is invalid or ships nothing.
-    pub fn evaluate_with(
-        executor: &Executor,
-        baseline: &Flow,
-        inputs: Vec<TornadoInput<'_>>,
-    ) -> Result<Tornado, FlowError> {
-        // One flat batch: baseline first, then each input's low/high.
-        let mut flows: Vec<&Flow> = Vec::with_capacity(1 + 2 * inputs.len());
-        flows.push(baseline);
-        for input in &inputs {
-            flows.push(&input.low);
-            flows.push(&input.high);
-        }
-        let costs = executor.try_map(&flows, |_, flow| {
-            flow.analyze().map(|r| r.final_cost_per_shipped().units())
-        })?;
-        let names = inputs.iter().map(|i| i.name);
-        Ok(Tornado::from_costs(&costs, names))
-    }
-
     /// Evaluate a tornado over patches of one shared compiled program:
     /// the baseline is the unpatched program, each row a low/high
-    /// [`FlowPatch`] pair. Where [`Tornado::evaluate`] builds and
-    /// compiles `1 + 2·n` flows, this compiles nothing — each variant
-    /// is a patched copy of the base op vector.
+    /// [`FlowPatch`] pair. Nothing is compiled — each variant is a
+    /// patched copy of the base op vector.
     ///
     /// # Errors
     ///
@@ -211,7 +167,7 @@ impl Tornado {
     }
 
     /// Assemble the chart from the flat `[baseline, low₀, high₀, …]`
-    /// cost batch both evaluation strategies produce.
+    /// cost batch of [`Tornado::evaluate_patches_with`].
     fn from_costs<'a>(costs: &[f64], names: impl Iterator<Item = &'a str>) -> Tornado {
         let baseline_cost = costs[0];
         let rows: Vec<TornadoRow> = names
@@ -282,6 +238,7 @@ impl fmt::Display for Tornado {
 mod tests {
     use super::*;
     use crate::cost::{CostCategory, StepCost};
+    use crate::flow::Flow;
     use crate::line::Line;
     use crate::part::Part;
     use crate::stage::{Process, Test};
@@ -304,24 +261,38 @@ mod tests {
         Flow::new(line)
     }
 
+    /// A patch of `base` with the part cost and/or process yield moved.
+    fn variant(base: &CompiledFlow, cost: Option<f64>, y: Option<f64>) -> FlowPatch {
+        let mut patch = base.patch();
+        if let Some(c) = cost {
+            patch.set_cost("c", Money::new(c)).unwrap();
+        }
+        if let Some(y) = y {
+            patch.set_yield("p", Probability::new(y).unwrap()).unwrap();
+        }
+        patch
+    }
+
+    /// Part cost ±10 % and process yield ±5 pts around `flow(10.0, 0.9)`.
+    fn two_inputs(base: &CompiledFlow) -> [TornadoPatch<'static>; 2] {
+        [
+            TornadoPatch {
+                name: "part cost ±10%",
+                low: variant(base, Some(9.0), None),
+                high: variant(base, Some(11.0), None),
+            },
+            TornadoPatch {
+                name: "process yield ±5pts",
+                low: variant(base, None, Some(0.85)),
+                high: variant(base, None, Some(0.95)),
+            },
+        ]
+    }
+
     #[test]
     fn ranks_by_swing() {
-        let tornado = Tornado::evaluate(
-            &flow(10.0, 0.9),
-            vec![
-                TornadoInput {
-                    name: "part cost ±10%",
-                    low: flow(9.0, 0.9),
-                    high: flow(11.0, 0.9),
-                },
-                TornadoInput {
-                    name: "process yield ±5pts",
-                    low: flow(10.0, 0.85),
-                    high: flow(10.0, 0.95),
-                },
-            ],
-        )
-        .unwrap();
+        let base = flow(10.0, 0.9).compiled().unwrap();
+        let tornado = Tornado::evaluate_patches(&base, &two_inputs(&base)).unwrap();
         assert_eq!(tornado.rows().len(), 2);
         // Yield ±5 pts swings ~11 % of cost; part cost ±10 % swings ~20 %.
         assert_eq!(tornado.rows()[0].name, "part cost ±10%");
@@ -331,49 +302,26 @@ mod tests {
 
     #[test]
     fn patched_tornado_matches_rebuilt_tornado() {
-        let rebuilt = Tornado::evaluate(
-            &flow(10.0, 0.9),
+        // The reference builds and analyzes every variant as a flow of
+        // its own.
+        let cost = |f: Flow| f.analyze().unwrap().final_cost_per_shipped().units();
+        let rebuilt = Tornado::from_rows(
+            cost(flow(10.0, 0.9)),
             vec![
-                TornadoInput {
-                    name: "part cost ±10%",
-                    low: flow(9.0, 0.9),
-                    high: flow(11.0, 0.9),
+                TornadoRow {
+                    name: "part cost ±10%".to_owned(),
+                    low_cost: cost(flow(9.0, 0.9)),
+                    high_cost: cost(flow(11.0, 0.9)),
                 },
-                TornadoInput {
-                    name: "process yield ±5pts",
-                    low: flow(10.0, 0.85),
-                    high: flow(10.0, 0.95),
+                TornadoRow {
+                    name: "process yield ±5pts".to_owned(),
+                    low_cost: cost(flow(10.0, 0.85)),
+                    high_cost: cost(flow(10.0, 0.95)),
                 },
             ],
-        )
-        .unwrap();
+        );
         let base = flow(10.0, 0.9).compiled().unwrap();
-        let variant = |cost: Option<f64>, y: Option<f64>| {
-            let mut p_ = base.patch();
-            if let Some(c) = cost {
-                p_.set_cost("c", Money::new(c)).unwrap();
-            }
-            if let Some(y) = y {
-                p_.set_yield("p", Probability::new(y).unwrap()).unwrap();
-            }
-            p_
-        };
-        let patched = Tornado::evaluate_patches(
-            &base,
-            &[
-                TornadoPatch {
-                    name: "part cost ±10%",
-                    low: variant(Some(9.0), None),
-                    high: variant(Some(11.0), None),
-                },
-                TornadoPatch {
-                    name: "process yield ±5pts",
-                    low: variant(None, Some(0.85)),
-                    high: variant(None, Some(0.95)),
-                },
-            ],
-        )
-        .unwrap();
+        let patched = Tornado::evaluate_patches(&base, &two_inputs(&base)).unwrap();
         assert_eq!(rebuilt.baseline_cost(), patched.baseline_cost());
         assert_eq!(rebuilt.rows(), patched.rows());
     }
@@ -406,32 +354,7 @@ mod tests {
     #[test]
     fn gradient_tornado_cross_checks_the_patched_path() {
         let base = flow(10.0, 0.9).compiled().unwrap();
-        let variant = |cost: Option<f64>, y: Option<f64>| {
-            let mut p_ = base.patch();
-            if let Some(c) = cost {
-                p_.set_cost("c", Money::new(c)).unwrap();
-            }
-            if let Some(y) = y {
-                p_.set_yield("p", Probability::new(y).unwrap()).unwrap();
-            }
-            p_
-        };
-        let patched = Tornado::evaluate_patches(
-            &base,
-            &[
-                TornadoPatch {
-                    name: "part cost ±10%",
-                    low: variant(Some(9.0), None),
-                    high: variant(Some(11.0), None),
-                },
-                TornadoPatch {
-                    name: "process yield ±5pts",
-                    low: variant(None, Some(0.85)),
-                    high: variant(None, Some(0.95)),
-                },
-            ],
-        )
-        .unwrap();
+        let patched = Tornado::evaluate_patches(&base, &two_inputs(&base)).unwrap();
         let gradient = Tornado::evaluate_gradients(
             &base,
             &[
@@ -471,12 +394,13 @@ mod tests {
 
     #[test]
     fn render_draws_bars() {
-        let tornado = Tornado::evaluate(
-            &flow(10.0, 0.9),
-            vec![TornadoInput {
+        let base = flow(10.0, 0.9).compiled().unwrap();
+        let tornado = Tornado::evaluate_patches(
+            &base,
+            &[TornadoPatch {
                 name: "x",
-                low: flow(8.0, 0.9),
-                high: flow(12.0, 0.9),
+                low: variant(&base, Some(8.0), None),
+                high: variant(&base, Some(12.0), None),
             }],
         )
         .unwrap();
@@ -486,7 +410,8 @@ mod tests {
 
     #[test]
     fn empty_inputs_is_just_the_baseline() {
-        let tornado = Tornado::evaluate(&flow(10.0, 0.9), vec![]).unwrap();
+        let base = flow(10.0, 0.9).compiled().unwrap();
+        let tornado = Tornado::evaluate_patches(&base, &[]).unwrap();
         assert!(tornado.rows().is_empty());
         assert!(tornado.baseline_cost() > 0.0);
     }

@@ -1,14 +1,9 @@
 //! Parameter sweeps and crossover search over flow families.
 //!
-//! Two evaluation strategies are provided:
-//!
-//! * [`sweep`] rebuilds the [`Flow`](crate::Flow) per point — fully
-//!   general (any structural change per point), but every point pays
-//!   line construction, validation and compilation.
-//! * [`sweep_patched`] compiles the flow **once** and overwrites named
-//!   parameter slots per point (see [`crate::patch`]) — the fast path
-//!   for the common numeric sweeps (a cost, a yield, a coverage), and
-//!   the `sweep_analytic` benchmark's reason to exist.
+//! [`sweep_patched`] compiles the flow **once** and overwrites named
+//! parameter slots per point (see [`crate::patch`]) — a cost, a yield,
+//! a coverage, the amortization volume — instead of rebuilding,
+//! validating and compiling a [`Flow`](crate::Flow) per point.
 
 use crate::error::FlowError;
 use crate::flow::Flow;
@@ -56,63 +51,6 @@ pub fn sweep_series(
         "shipped fraction",
         points.iter().map(|p| p.report.shipped_fraction()).collect(),
     )
-}
-
-/// Evaluate a family of flows over parameter values `xs` with the
-/// analytic engine.
-///
-/// The builder receives each `x` and returns the flow to evaluate —
-/// typically a production model whose component count, area or yield
-/// depends on `x` (e.g. the "more than 10 resistors" rule-of-thumb sweep).
-///
-/// # Errors
-///
-/// Fails on the first flow that is invalid or ships nothing.
-///
-/// # Examples
-///
-/// ```
-/// use ipass_moe::{sweep, CostCategory, Flow, Line, Part, Process, StepCost, YieldModel};
-/// use ipass_units::Money;
-///
-/// let points = sweep([1.0, 2.0, 4.0], |x| {
-///     let line = Line::builder("family", Part::new("c", CostCategory::Substrate)
-///             .with_cost(StepCost::fixed(Money::new(x))))
-///         .process(Process::new("p"))
-///         .build()?;
-///     Ok(Flow::new(line))
-/// })?;
-/// assert_eq!(points.len(), 3);
-/// assert!(points[2].final_cost() > points[0].final_cost());
-/// # Ok::<(), ipass_moe::FlowError>(())
-/// ```
-pub fn sweep<I, F>(xs: I, build: F) -> Result<Vec<SweepPoint>, FlowError>
-where
-    I: IntoIterator<Item = f64>,
-    F: Fn(f64) -> Result<Flow, FlowError> + Sync,
-{
-    sweep_with(&Executor::available(), xs, build)
-}
-
-/// [`sweep`] on an explicit executor. Points are evaluated in parallel;
-/// the result (including which error is reported) is identical to the
-/// serial evaluation.
-///
-/// # Errors
-///
-/// Fails on the first flow (in `xs` order) that is invalid or ships
-/// nothing.
-pub fn sweep_with<I, F>(executor: &Executor, xs: I, build: F) -> Result<Vec<SweepPoint>, FlowError>
-where
-    I: IntoIterator<Item = f64>,
-    F: Fn(f64) -> Result<Flow, FlowError> + Sync,
-{
-    let xs: Vec<f64> = xs.into_iter().collect();
-    executor.try_map(&xs, |_, &x| {
-        let flow = build(x)?;
-        let report = flow.analyze()?;
-        Ok(SweepPoint { x, report })
-    })
 }
 
 /// Evaluate a parameter sweep by patching `flow`'s cached compiled
@@ -322,31 +260,22 @@ mod tests {
     }
 
     #[test]
-    fn sweep_produces_monotone_costs() {
-        let points = sweep((0..5).map(|i| i as f64), linear_flow).unwrap();
-        assert_eq!(points.len(), 5);
-        for w in points.windows(2) {
-            assert!(w[1].final_cost() >= w[0].final_cost());
-        }
-    }
-
-    #[test]
     fn patched_sweep_matches_rebuild_sweep() {
-        // The fast path and the rebuild path are the same curve. The
-        // base point must carry a non-zero cost: a free, certain
-        // carrier would compile away and leave nothing to patch.
+        // The fast path traces the same curve as rebuilding the flow per
+        // point. The base point must carry a non-zero cost: a free,
+        // certain carrier would compile away and leave nothing to patch.
         let base = linear_flow(1.0).unwrap();
         let xs: Vec<f64> = (1..9).map(|i| i as f64).collect();
-        let rebuilt = sweep(xs.clone(), linear_flow).unwrap();
-        let patched = sweep_patched(&base, xs, |x, patch| {
+        let patched = sweep_patched(&base, xs.iter().copied(), |x, patch| {
             patch.set_cost("c", Money::new(x))?;
             Ok(())
         })
         .unwrap();
-        assert_eq!(rebuilt.len(), patched.len());
-        for (a, b) in rebuilt.iter().zip(patched.iter()) {
-            assert_eq!(a.x, b.x);
-            assert_eq!(a.final_cost(), b.final_cost());
+        assert_eq!(xs.len(), patched.len());
+        for (&x, point) in xs.iter().zip(patched.iter()) {
+            let rebuilt = linear_flow(x).unwrap().analyze().unwrap();
+            assert_eq!(x, point.x);
+            assert_eq!(rebuilt.final_cost_per_shipped().units(), point.final_cost());
         }
     }
 
@@ -359,17 +288,6 @@ mod tests {
         })
         .unwrap_err();
         assert!(matches!(err, FlowError::UnknownPatchSlot { .. }));
-    }
-
-    #[test]
-    fn sweep_propagates_errors() {
-        let err = sweep([1.0], |_| {
-            Line::builder("bad", Part::new("c", CostCategory::Substrate))
-                .build()
-                .map(Flow::new)
-        })
-        .unwrap_err();
-        assert!(matches!(err, FlowError::EmptyLine { .. }));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! Two-plane observability for the `ipass` stack.
 //!
 //! **Deterministic plane** — [`Probe`]-gated counters ([`EngineCounters`],
-//! [`MemoStats`], [`ExploreStats`], folded into [`RunStats`]) that are
+//! [`ExploreStats`], [`ServeStats`], folded into [`RunStats`]) that are
 //! accumulated *inside* the engines and merged exactly like results: in
 //! chunk order, with associative operations only (`u64` adds, `min`,
 //! `max`). A `RunStats` snapshot is therefore bit-identical for any
@@ -16,9 +16,9 @@
 //! planes never mix, so goldens and property tests can pin the first
 //! while dashboards read the second.
 //!
-//! The crate is dependency-free and knows nothing about flows, lanes or
-//! caches — engines own the counting sites, this crate owns the shapes
-//! and the fold law.
+//! The crate is dependency-free and knows nothing about flows or lanes
+//! — engines own the counting sites, this crate owns the shapes and the
+//! fold law.
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -133,34 +133,6 @@ impl EngineCounters {
     }
 }
 
-/// Cache-effectiveness counters for `ipass-sim`'s memo table.
-///
-/// Maintained with relaxed atomics: totals are exact once the cache is
-/// quiescent, but the hit/miss *split* can wobble by racing lookups, so
-/// memo counters are excluded from the strict bit-identity contract
-/// (see [`RunStats::invariant_core`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MemoStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that had to compute the value.
-    pub misses: u64,
-    /// Entries not cached because their shard was at capacity.
-    pub dropped: u64,
-    /// Shard-lock poison events recovered from (a writer panicked).
-    pub poisoned: u64,
-}
-
-impl MemoStats {
-    /// Associative merge (field-wise sum).
-    pub fn merge(&mut self, other: &MemoStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.dropped += other.dropped;
-        self.poisoned += other.poisoned;
-    }
-}
-
 /// Request counters for one `ipass-serve` server instance.
 ///
 /// Maintained with relaxed atomics on the serving hot path: totals are
@@ -227,12 +199,12 @@ impl ExploreStats {
 
 /// The deterministic-plane snapshot of a run.
 ///
-/// Built from [`EngineCounters`] plus whatever memo / explorer / patch
+/// Built from [`EngineCounters`] plus whatever explorer / patch / serve
 /// counters the caller owns. The full snapshot is bit-identical across
-/// executor thread counts; [`RunStats::invariant_core`] strips the
-/// fields that legitimately depend on kernel shape (lane histogram) or
-/// on concurrent cache races (memo split), leaving a view that is also
-/// identical across lane widths.
+/// executor thread counts; [`RunStats::invariant_core`] strips the one
+/// field that legitimately depends on kernel shape (the lane
+/// histogram), leaving a view that is also identical across lane
+/// widths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunStats {
     /// Units attempted by the engine.
@@ -253,8 +225,6 @@ pub struct RunStats {
     pub sub_units_built: u64,
     /// Slot writes applied through `FlowPatch`es.
     pub patch_writes: u64,
-    /// Memo-cache counters (approximate under concurrency).
-    pub memo: MemoStats,
     /// Explorer counters, when the run went through `refine()`.
     pub explore: ExploreStats,
     /// Server counters, when the run was driven through `ipassd`.
@@ -299,23 +269,20 @@ impl RunStats {
         self.rework_attempts += other.rework_attempts;
         self.sub_units_built += other.sub_units_built;
         self.patch_writes += other.patch_writes;
-        self.memo.merge(&other.memo);
         self.explore.merge(&other.explore);
         self.serve.merge(&other.serve);
     }
 
-    /// The width- and concurrency-invariant core of the snapshot.
+    /// The width-invariant core of the snapshot.
     ///
-    /// Zeroes the lane histogram (which reports kernel shape, so it
-    /// *should* change with lane width) and the memo split (whose
-    /// hit/miss balance can race under concurrency). Everything left,
-    /// the serve counters included, is bit-identical across thread
-    /// counts *and* lane widths.
+    /// Zeroes the lane histogram, which reports kernel shape and so
+    /// *should* change with lane width. Everything left, the serve
+    /// counters included, is bit-identical across thread counts *and*
+    /// lane widths.
     #[must_use]
     pub fn invariant_core(&self) -> RunStats {
         RunStats {
             lanes: [0; 7],
-            memo: MemoStats::default(),
             ..*self
         }
     }
@@ -501,22 +468,27 @@ mod tests {
     }
 
     #[test]
-    fn invariant_core_strips_lanes_and_memo_only() {
+    fn invariant_core_strips_lanes_only() {
         let mut eng = EngineCounters::new();
         eng.record_unit(2);
         eng.lanes[6] = 1;
         let mut stats = RunStats::from_engine(1, &eng);
-        stats.memo.hits = 10;
         stats.rework_attempts = 3;
         stats.serve.requests = 9;
         stats.serve.evaluated = 8;
         let core = stats.invariant_core();
         assert_eq!(core.lanes, [0; 7]);
-        assert_eq!(core.memo, MemoStats::default());
         assert_eq!(core.draws, stats.draws);
         assert_eq!(core.rework_attempts, 3);
         // Every serve counter is a pure function of the request stream.
         assert_eq!(core.serve, stats.serve);
+        assert_eq!(
+            core,
+            RunStats {
+                lanes: [0; 7],
+                ..stats
+            }
+        );
     }
 
     #[test]

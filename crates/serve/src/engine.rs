@@ -10,7 +10,7 @@
 use crate::protocol::{derived_seed, parse_request, ErrorCode, Request, ServeError};
 use crate::registry::FlowRegistry;
 use ipass_moe::{CostReport, Probe, SimOptions};
-use ipass_obs::{MemoStats, RunStats, ServeStats};
+use ipass_obs::{RunStats, ServeStats};
 use ipass_report::json::Json;
 use ipass_report::Artifact;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -18,8 +18,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Relaxed lifetime counters of the serving plane (the atomics behind
-/// [`ServeStats`]). Like the memo counters, totals are exact once the
-/// server is quiescent.
+/// [`ServeStats`]). Totals are exact once the server is quiescent.
 #[derive(Debug, Default)]
 pub(crate) struct ServeCounters {
     pub connections: AtomicU64,
@@ -80,18 +79,11 @@ impl Engine {
     }
 
     /// The cumulative [`RunStats`] of this server: merged engine
-    /// counters from probed runs, the serve plane from the connection
-    /// counters, and the registry's traffic on the memo plane (misses
-    /// are the flows compiled at registration, hits the lookups served
-    /// from them).
+    /// counters from probed runs plus the serve plane from the
+    /// connection counters.
     pub fn run_stats(&self) -> RunStats {
         let mut stats = *self.engine_stats.lock().unwrap_or_else(|p| p.into_inner());
         stats.serve = self.serve.snapshot();
-        stats.memo = MemoStats {
-            hits: self.registry.lookups(),
-            misses: self.registry.len() as u64,
-            ..MemoStats::default()
-        };
         stats
     }
 
@@ -227,11 +219,14 @@ impl Engine {
             ),
             (
                 "cache",
+                // The registry in the legacy cache shape: misses are the
+                // flows compiled at registration, hits the lookups
+                // served from them, and nothing is ever dropped.
                 Json::obj(vec![
-                    ("hits", count(stats.memo.hits)),
-                    ("misses", count(stats.memo.misses)),
-                    ("dropped", count(stats.memo.dropped)),
-                    ("poisoned", count(stats.memo.poisoned)),
+                    ("hits", count(self.registry.lookups())),
+                    ("misses", count(self.registry.len() as u64)),
+                    ("dropped", count(0)),
+                    ("poisoned", count(0)),
                 ]),
             ),
             (

@@ -181,22 +181,10 @@ mod tests {
     }
 
     #[test]
-    fn run_batch_matches_run_for_scalar_samplers() {
-        let coin = Coin { p: 0.37 };
-        let via_run = Executor::new(1).run(&coin, 50_000, 11).unwrap();
-        for threads in [1, 4] {
-            let via_batch = Executor::new(threads).run_batch(&coin, 50_000, 11).unwrap();
-            assert_eq!(via_batch, via_run, "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn custom_batch_sampler_is_split_invariant() {
-        let whole = Executor::new(1).run_batch(&RangeSum, 100_000, 3).unwrap();
+        let whole = Executor::new(1).run(&RangeSum, 100_000, 3).unwrap();
         for threads in [2, 8] {
-            let split = Executor::new(threads)
-                .run_batch(&RangeSum, 100_000, 3)
-                .unwrap();
+            let split = Executor::new(threads).run(&RangeSum, 100_000, 3).unwrap();
             assert_eq!(split, whole, "threads = {threads}");
         }
         // And against the hand-rolled single range.

@@ -12,7 +12,7 @@
 //! is fixed, the result is bit-identical for any thread count — threads
 //! are purely a performance knob.
 //!
-//! Internally every run is a [`BatchSampler`] run: a chunk is one
+//! Every run is a [`BatchSampler`] run: a chunk is one
 //! contiguous `[lo, hi)` unit range handed to
 //! [`BatchSampler::sample_range`]. Scalar [`Sampler`]s get the
 //! canonical unit-by-unit walk through the blanket impl in
@@ -60,45 +60,6 @@ pub trait Sampler: Sync {
     fn ci_half_width(&self, acc: &Self::Acc, z: f64) -> Option<f64> {
         let _ = (acc, z);
         None
-    }
-}
-
-/// A Monte Carlo experiment producing one output per unit (the
-/// convenient form; collected outputs preserve unit order).
-pub trait Experiment: Sync {
-    /// Per-unit output.
-    type Output: Send;
-    /// Error that aborts the run.
-    type Error: Send;
-
-    /// Evaluate one unit on its private RNG stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns the experiment's error to abort the run.
-    fn run(&self, unit: u64, rng: &mut SimRng) -> Result<Self::Output, Self::Error>;
-}
-
-/// Adapter: collect an [`Experiment`]'s outputs in unit order through
-/// the [`Sampler`] machinery.
-#[derive(Debug)]
-pub struct Collect<E>(pub E);
-
-impl<E: Experiment> Sampler for Collect<E> {
-    type Acc = Vec<E::Output>;
-    type Error = E::Error;
-
-    fn make_acc(&self) -> Self::Acc {
-        Vec::new()
-    }
-
-    fn sample(&self, unit: u64, rng: &mut SimRng, acc: &mut Self::Acc) -> Result<(), Self::Error> {
-        acc.push(self.0.run(unit, rng)?);
-        Ok(())
-    }
-
-    fn merge(&self, into: &mut Self::Acc, mut from: Self::Acc) {
-        into.append(&mut from);
     }
 }
 
@@ -157,25 +118,32 @@ fn chunk_size(units: u64) -> u64 {
 /// # Examples
 ///
 /// ```
-/// use ipass_sim::{Executor, Experiment, SimRng};
+/// use ipass_sim::{BinomialTally, Executor, Sampler, SimRng};
 ///
+/// /// Darts that land inside the unit quarter circle.
 /// struct Pi;
-/// impl Experiment for Pi {
-///     type Output = bool;
+/// impl Sampler for Pi {
+///     type Acc = BinomialTally;
 ///     type Error = std::convert::Infallible;
-///     fn run(&self, _unit: u64, rng: &mut SimRng) -> Result<bool, Self::Error> {
+///     fn make_acc(&self) -> BinomialTally {
+///         BinomialTally::new()
+///     }
+///     fn sample(&self, _unit: u64, rng: &mut SimRng, acc: &mut BinomialTally)
+///         -> Result<(), Self::Error>
+///     {
 ///         let (x, y) = (rng.next_f64(), rng.next_f64());
-///         Ok(x * x + y * y <= 1.0)
+///         acc.push(x * x + y * y <= 1.0);
+///         Ok(())
+///     }
+///     fn merge(&self, into: &mut BinomialTally, from: BinomialTally) {
+///         into.merge(&from);
 ///     }
 /// }
 ///
-/// let hits = |threads| {
-///     let outs = Executor::new(threads).collect(&Pi, 100_000, 7).unwrap();
-///     outs.iter().filter(|&&h| h).count()
-/// };
+/// let hits = |threads| Executor::new(threads).run(&Pi, 100_000, 7).unwrap();
 /// let serial = hits(1);
 /// assert_eq!(serial, hits(4)); // bit-identical regardless of threads
-/// let pi = 4.0 * serial as f64 / 100_000.0;
+/// let pi = 4.0 * serial.fraction();
 /// assert!((pi - std::f64::consts::PI).abs() < 0.02);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,78 +185,50 @@ impl Executor {
     }
 
     /// Run `units` units of `sampler` under `seed` and return the merged
-    /// accumulator.
+    /// accumulator. Scalar [`Sampler`]s run here too, through the
+    /// blanket [`BatchSampler`] impl.
     ///
     /// # Errors
     ///
     /// Returns the first sampler error in unit order.
-    pub fn run<S: Sampler>(&self, sampler: &S, units: u64, seed: u64) -> Result<S::Acc, S::Error> {
-        self.run_with(sampler, units, seed, &RunOptions::default())
-            .map(|outcome| outcome.acc)
-    }
-
-    /// Like [`Executor::run`], with early stopping and run metadata.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first sampler error in unit order.
-    pub fn run_with<S: Sampler>(
-        &self,
-        sampler: &S,
-        units: u64,
-        seed: u64,
-        options: &RunOptions,
-    ) -> Result<RunOutcome<S::Acc>, S::Error> {
-        // Scalar samplers are batch samplers through the blanket impl;
-        // one generic engine serves both forms.
-        self.run_batch_with(sampler, units, seed, options)
-    }
-
-    /// Run `units` units of a [`BatchSampler`] under `seed` and return
-    /// the merged accumulator.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first sampler error in unit order.
-    pub fn run_batch<B: BatchSampler>(
+    pub fn run<B: BatchSampler>(
         &self,
         sampler: &B,
         units: u64,
         seed: u64,
     ) -> Result<B::Acc, B::Error> {
-        self.run_batch_with(sampler, units, seed, &RunOptions::default())
+        self.run_with(sampler, units, seed, &RunOptions::default())
             .map(|outcome| outcome.acc)
     }
 
-    /// Like [`Executor::run_batch`], with early stopping and run
-    /// metadata. Every chunk is one contiguous
-    /// [`BatchSampler::sample_range`] call; chunk geometry stays the
-    /// pure function of `units` documented on [`Executor::run`], so a
+    /// Like [`Executor::run`], with early stopping and run metadata.
+    /// Every chunk is one contiguous [`BatchSampler::sample_range`]
+    /// call; chunk geometry stays a pure function of `units`, so a
     /// batched kernel inherits the full determinism contract.
     ///
     /// # Errors
     ///
     /// Returns the first sampler error in unit order.
-    pub fn run_batch_with<B: BatchSampler>(
+    pub fn run_with<B: BatchSampler>(
         &self,
         sampler: &B,
         units: u64,
         seed: u64,
         options: &RunOptions,
     ) -> Result<RunOutcome<B::Acc>, B::Error> {
-        self.run_batch_inner(sampler, units, seed, options, None)
+        self.run_inner(sampler, units, seed, options, None)
     }
 
-    /// Like [`Executor::run_batch_with`], recording wall-clock spans
-    /// into `profiler`: one `"chunk"` span per completed chunk. Timing
-    /// lives entirely in the wall-clock plane — the accumulator (and
-    /// any deterministic counters folded inside it) is bit-identical to
-    /// the untraced run.
+    /// Like [`Executor::run_with`], recording wall-clock spans into
+    /// `profiler`: one `"chunk"` span per completed chunk. Timing lives
+    /// entirely in the wall-clock plane — the accumulator (and any
+    /// deterministic counters folded inside it) is bit-identical to the
+    /// untraced run.
     ///
     /// # Errors
     ///
     /// Returns the first sampler error in unit order.
-    pub fn run_batch_traced<B: BatchSampler>(
+    pub fn run_traced<B: BatchSampler>(
         &self,
         sampler: &B,
         units: u64,
@@ -296,10 +236,10 @@ impl Executor {
         options: &RunOptions,
         profiler: &Profiler,
     ) -> Result<RunOutcome<B::Acc>, B::Error> {
-        self.run_batch_inner(sampler, units, seed, options, Some(profiler))
+        self.run_inner(sampler, units, seed, options, Some(profiler))
     }
 
-    fn run_batch_inner<B: BatchSampler>(
+    fn run_inner<B: BatchSampler>(
         &self,
         sampler: &B,
         units: u64,
@@ -323,20 +263,6 @@ impl Executor {
         run_parallel(
             sampler, units, seed, chunk, n_chunks, workers, options, profiler,
         )
-    }
-
-    /// Run an [`Experiment`] and collect its outputs in unit order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first experiment error in unit order.
-    pub fn collect<E: Experiment>(
-        &self,
-        experiment: &E,
-        units: u64,
-        seed: u64,
-    ) -> Result<Vec<E::Output>, E::Error> {
-        self.run(&Collect(experiment), units, seed)
     }
 
     /// Chunked map-reduce over unit indices `0..units` — the fan-out
@@ -505,30 +431,6 @@ impl Executor {
             }
         }
         Ok(out)
-    }
-
-    /// Infallible version of [`Executor::try_map`].
-    pub fn map<T, O, F>(&self, items: &[T], f: F) -> Vec<O>
-    where
-        T: Sync,
-        O: Send,
-        F: Fn(usize, &T) -> O + Sync,
-    {
-        match self.try_map(items, |i, item| {
-            Ok::<O, std::convert::Infallible>(f(i, item))
-        }) {
-            Ok(out) => out,
-            Err(e) => match e {},
-        }
-    }
-}
-
-impl<E: Experiment> Experiment for &E {
-    type Output = E::Output;
-    type Error = E::Error;
-
-    fn run(&self, unit: u64, rng: &mut SimRng) -> Result<Self::Output, Self::Error> {
-        (*self).run(unit, rng)
     }
 }
 
@@ -839,21 +741,6 @@ mod tests {
     }
 
     #[test]
-    fn collect_preserves_unit_order() {
-        struct Ident;
-        impl Experiment for Ident {
-            type Output = u64;
-            type Error = std::convert::Infallible;
-            fn run(&self, unit: u64, _rng: &mut SimRng) -> Result<u64, Self::Error> {
-                Ok(unit)
-            }
-        }
-        let outs = Executor::new(4).collect(&Ident, 10_000, 0).unwrap();
-        assert_eq!(outs.len(), 10_000);
-        assert!(outs.iter().enumerate().all(|(i, &u)| i as u64 == u));
-    }
-
-    #[test]
     fn map_reduce_is_thread_invariant_and_in_order() {
         // Non-commutative fold: the accumulator records unit order, so
         // any deviation from in-chunk-order merging would change it.
@@ -932,7 +819,7 @@ mod tests {
         for threads in [1, 4] {
             let profiler = Profiler::new();
             let outcome = Executor::new(threads)
-                .run_batch_traced(&coin, 50_000, 11, &RunOptions::default(), &profiler)
+                .run_traced(&coin, 50_000, 11, &RunOptions::default(), &profiler)
                 .unwrap();
             assert_eq!(outcome.acc, baseline, "threads = {threads}");
             let trace = profiler.trace();
@@ -944,12 +831,5 @@ mod tests {
             // chunk_size(50_000) = 781 → 65 chunks, regardless of threads.
             assert_eq!(chunk_span.count, 65, "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn map_is_parallel_identity() {
-        let items: Vec<u64> = (0..100).collect();
-        let doubled = Executor::new(8).map(&items, |_, &x| x * 2);
-        assert_eq!(doubled, items.iter().map(|x| x * 2).collect::<Vec<_>>());
     }
 }

@@ -10,12 +10,12 @@
 //! * [`SimRng`] — counter-based per-unit random streams. Output `j` of
 //!   stream `i` under seed `s` is a pure hash of `(s, i, j)`; nothing
 //!   about scheduling enters the draw.
-//! * [`Sampler`] / [`Experiment`] — the two shapes of a Monte Carlo
-//!   experiment (accumulate-in-place for hot engines, output-per-unit
-//!   for everything else).
-//! * [`BatchSampler`] — the batched form: one call evaluates a whole
-//!   contiguous unit range, so vectorized lane kernels can walk many
-//!   units per op. Every [`Sampler`] is one via a blanket impl.
+//! * [`Sampler`] — a Monte Carlo experiment that accumulates one unit
+//!   at a time into a mergeable accumulator.
+//! * [`BatchSampler`] — the batched form the executor runs: one call
+//!   evaluates a whole contiguous unit range, so vectorized lane
+//!   kernels can walk many units per op. Every [`Sampler`] is one via a
+//!   blanket impl.
 //! * [`Executor`] — a chunked multi-thread executor. Workers steal
 //!   fixed-size chunks from a shared cursor; completed chunks fold into
 //!   a prefix strictly in chunk order, so results are **bit-identical
@@ -25,12 +25,9 @@
 //! * [`StopRule`] — optional sequential early stopping once a target
 //!   confidence-interval half width is reached, evaluated at
 //!   deterministic chunk boundaries.
-//! * [`Memo`] — a concurrent cache for per-candidate sub-results in
-//!   candidate × scenario batches, with hit/miss/dropped counters
-//!   surfaced as an `ipass_obs::MemoStats` snapshot.
 //!
 //! Wall-clock observability rides on the same machinery:
-//! [`Executor::run_batch_traced`] records one `"chunk"` span per
+//! [`Executor::run_traced`] records one `"chunk"` span per
 //! completed chunk into an `ipass_obs::Profiler` without perturbing the
 //! deterministic accumulator.
 //!
@@ -83,12 +80,10 @@
 
 mod batch;
 mod exec;
-mod memo;
 mod rng;
 mod stats;
 
 pub use batch::BatchSampler;
-pub use exec::{Collect, Executor, Experiment, RunOptions, RunOutcome, Sampler, StopRule};
-pub use memo::Memo;
+pub use exec::{Executor, RunOptions, RunOutcome, Sampler, StopRule};
 pub use rng::SimRng;
 pub use stats::{BinomialTally, MinMax, Welford, Z95, Z99};

@@ -6,7 +6,7 @@
 
 use integrated_passives::gps::experiments;
 use integrated_passives::moe::{
-    sweep, Attach, CostCategory, FailAction, Flow, Line, Part, Process, Rework, SimOptions,
+    sweep_patched, Attach, CostCategory, FailAction, Flow, Line, Part, Process, Rework, SimOptions,
     StepCost, Test, YieldModel,
 };
 use integrated_passives::units::{Money, Probability};
@@ -66,10 +66,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- NRE amortization: when does an IP mask set pay off? ------------
     println!("\n== NRE amortization (50 000-unit mask set) ==");
-    let points = sweep([1e3, 1e4, 1e5, 1e6], |volume| {
-        Ok(demo_flow()?
-            .with_nre(Money::new(50_000.0))
-            .with_volume(volume as u64))
+    let nre_flow = demo_flow()?.with_nre(Money::new(50_000.0));
+    let points = sweep_patched(&nre_flow, [1e3, 1e4, 1e5, 1e6], |volume, patch| {
+        patch.set_volume(volume as u64);
+        Ok(())
     })?;
     for pt in &points {
         println!(

@@ -9,8 +9,7 @@
 use ipass_core::{BuildUp, SelectionObjective};
 use ipass_gps::{bom::gps_bom, table2::cost_inputs};
 use ipass_moe::{
-    analyze_line_reference, simulate_line_reference, sweep_patched, sweep_with, CostCategory,
-    Executor, Flow, SimOptions,
+    analyze_line_reference, simulate_line_reference, sweep_patched, CostCategory, Flow, SimOptions,
 };
 
 fn solution2_flow() -> Flow {
@@ -145,26 +144,25 @@ fn patched_sweep_matches_rebuilt_sweep_on_solution2() {
     let base_cost = flow.line().carrier().cost().total();
     let xs: Vec<f64> = (0..16).map(|i| 0.5 + i as f64 / 16.0).collect();
 
-    let serial = Executor::serial();
-    let rebuilt = sweep_with(&serial, xs.iter().copied(), |x| {
-        let mut card = base_card.clone();
-        card.substrate_cost_per_cm2 = card.substrate_cost_per_cm2 * x;
-        plan.production_flow(area, &card)
-    })
-    .unwrap();
     let patched = sweep_patched(&flow, xs.iter().copied(), |x, patch| {
         patch.set_cost(&carrier, base_cost * x)?;
         Ok(())
     })
     .unwrap();
-    assert_eq!(rebuilt.len(), patched.len());
-    for (a, b) in rebuilt.iter().zip(patched.iter()) {
-        assert_eq!(a.x, b.x);
-        let (ca, cb) = (a.final_cost(), b.final_cost());
+    assert_eq!(xs.len(), patched.len());
+    for (&x, b) in xs.iter().zip(patched.iter()) {
+        let mut card = base_card.clone();
+        card.substrate_cost_per_cm2 = card.substrate_cost_per_cm2 * x;
+        let rebuilt = plan
+            .production_flow(area, &card)
+            .unwrap()
+            .analyze()
+            .unwrap();
+        assert_eq!(x, b.x);
+        let (ca, cb) = (rebuilt.final_cost_per_shipped().units(), b.final_cost());
         assert!(
             (ca - cb).abs() <= 1e-12 * ca.abs().max(1.0),
-            "x = {}: rebuilt {ca} vs patched {cb}",
-            a.x
+            "x = {x}: rebuilt {ca} vs patched {cb}"
         );
     }
 }
