@@ -275,13 +275,6 @@ fn bench_explore_frontier(c: &mut Criterion) {
     group.bench_function("screen", |b| {
         b.iter(|| black_box(explorer.screen_frontier(&SamplerSpec::Grid).unwrap()))
     });
-    group.bench_function("directed", |b| {
-        // Gradient-directed screening: seed lattice + dual-guided
-        // descent + frontier expansion; same frontier as `screen`
-        // (asserted in the gps and explore test suites) from a
-        // fraction of the point evaluations.
-        b.iter(|| black_box(explorer.screen_frontier_directed().unwrap()))
-    });
     let refine_options = RefineOptions {
         margin: 0.05,
         mc_units: 2_000,

@@ -16,6 +16,12 @@
 //! 5. **Make a decision** — [`DecisionTable::rank`] computes the paper's
 //!    Fig. 6 product-of-factors figure of merit.
 //!
+//! The steps compose directly: [`BuildUp::plan`] →
+//! [`BuildUpPlan::area`] → [`BuildUpPlan::production_flow`] →
+//! `Flow::analyze` → [`DecisionTable::rank`]. `ipass-gps` runs the
+//! paper's study that way, planning each build-up against its own BOM
+//! (the filter items differ per build-up).
+//!
 //! The key algorithmic piece is the **passives-optimized** selection
 //! ([`PassivePolicy::Optimized`]): per component, prefer the SMD part
 //! whenever it consumes less area than the integrated realization (the
@@ -52,15 +58,10 @@ mod bom;
 mod flowbuild;
 mod fom;
 mod plan;
-mod study;
 mod technology;
 
 pub use bom::{BomItem, ItemRole, Realization};
 pub use flowbuild::{ChipCost, CostInputs, YieldBasis};
 pub use fom::{CandidateScore, DecisionError, DecisionRow, DecisionTable, FomWeights};
 pub use plan::{AreaBreakdown, BuildUpPlan, Choice, PlanError, Selection, SelectionObjective};
-pub use study::{
-    CandidateExploration, StudyCandidate, StudyError, StudyExploration, StudyReport, StudyRow,
-    StudyScenario, TradeStudy,
-};
 pub use technology::{BuildUp, DieAttach, PassivePolicy, SubstrateTech};

@@ -18,7 +18,8 @@ pub enum ExploreError {
         /// Name of the offending axis.
         axis: String,
     },
-    /// An axis range is unusable: non-finite bounds or `lo > hi`.
+    /// An axis range is unusable: a non-finite bound or explicit level,
+    /// or `lo > hi`.
     InvalidAxisRange {
         /// Name of the offending axis.
         axis: String,
@@ -39,9 +40,10 @@ pub enum ExploreError {
     },
     /// A sampler was asked for zero points.
     NoPoints,
-    /// The full grid over the axes exceeds the supported point count.
-    GridTooLarge {
-        /// The number of grid points the axes imply.
+    /// A sampler asks for more points than one exploration supports.
+    TooManyPoints {
+        /// The number of points asked for (a full grid's product
+        /// saturates at `u128::MAX`).
         points: u128,
         /// The supported maximum.
         limit: u64,
@@ -93,8 +95,8 @@ impl fmt::Display for ExploreError {
                 "probability axis {axis:?} range [{lo}, {hi}] leaves [0, 1]"
             ),
             ExploreError::NoPoints => write!(f, "sampler was asked for zero points"),
-            ExploreError::GridTooLarge { points, limit } => {
-                write!(f, "full grid has {points} points (limit {limit})")
+            ExploreError::TooManyPoints { points, limit } => {
+                write!(f, "sampler asks for {points} points (limit {limit})")
             }
             ExploreError::ObjectiveCountMismatch {
                 point,

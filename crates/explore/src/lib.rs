@@ -2,10 +2,7 @@
 //!
 //! The paper's methodology compares integration technologies across
 //! whole *families* of scenarios — volumes, yields, cost assumptions.
-//! Before this crate, every scenario surface in the workspace
-//! (parameter sweeps, tornado charts, trade-study scenario batches)
-//! hand-rolled its own loop over patch points. This crate treats the
-//! scenario family itself as the object of study:
+//! This crate treats the scenario family itself as the object of study:
 //!
 //! * **Axes** ([`Axis`], [`Levels`]) name the dimensions; the
 //!   production-flow binding ([`FlowAxis`]) lowers each value onto a
@@ -25,13 +22,11 @@
 //!   band to seeded Monte Carlo confirmation with CI-based early
 //!   stopping.
 //!
-//! The generic engine ([`explore_fn`], [`frontier_fn`]) is
-//! domain-agnostic — the RF and passives crates drive it with filter
-//! and component-synthesis evaluators; `ipass-core` plugs it into the
-//! trade study ([`TradeStudy::run_exploration`]).
-//!
-//! [`TradeStudy::run_exploration`]:
-//!     https://docs.rs/ipass-core (see `ipass_core::TradeStudy`)
+//! The generic engine ([`explore_fn`], [`frontier_fn`]) owns sampling,
+//! fan-out, the objective checks and frontier extraction, and is
+//! domain-agnostic: [`FlowExplorer`]'s screens drive it with one
+//! patched cohort walk per point, the RF and passives crates with
+//! filter and component-synthesis evaluators.
 //!
 //! # Examples
 //!
@@ -78,8 +73,7 @@ mod space;
 pub use engine::{explore_fn, frontier_fn, Exploration};
 pub use error::ExploreError;
 pub use flow::{
-    Confirmation, DirectedScreen, FlowAxis, FlowExplorer, FlowTarget, Metric, Objective,
-    RefineOptions, Refined,
+    Confirmation, FlowAxis, FlowExplorer, FlowTarget, Metric, Objective, RefineOptions, Refined,
 };
 pub use pareto::{dominates, DesignPoint, FrontierDiff, ParetoFrontier, Sense};
 pub use sample::{PointSet, SamplerSpec};

@@ -13,8 +13,10 @@ use crate::error::ExploreError;
 use crate::space::{Axis, Levels};
 use ipass_sim::SimRng;
 
-/// The supported point-count ceiling for a single exploration.
-const MAX_POINTS: u64 = 1 << 32;
+/// The point-count ceiling for a single exploration, whatever the
+/// sampler: the Latin hypercube numbers its strata in `u32`, so every
+/// permutation covers every point up to here.
+const MAX_POINTS: u64 = u32::MAX as u64;
 
 /// Stream tag separating the Latin-hypercube permutation draws from the
 /// per-point jitter draws of the same seed.
@@ -23,12 +25,13 @@ const LHS_PERM_STREAM: u64 = 0x4C48_5F70_6572_6D73; // "LH_perms"
 /// How to sample the design space.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SamplerSpec {
-    /// The full cartesian grid over every axis's levels.
+    /// The full cartesian grid over every axis's levels (at most
+    /// `u32::MAX` points).
     Grid,
     /// `points` uniform random points; point `i` draws its coordinates
     /// from `SimRng::stream(seed, i)`.
     Random {
-        /// Number of points.
+        /// Number of points (at most `u32::MAX`).
         points: usize,
         /// RNG seed.
         seed: u64,
@@ -37,7 +40,7 @@ pub enum SamplerSpec {
     /// once, with in-stratum jitter. Stratum permutations and jitter are
     /// both derived from `seed` alone.
     LatinHypercube {
-        /// Number of points (and strata per axis).
+        /// Number of points and strata per axis (at most `u32::MAX`).
         points: usize,
         /// RNG seed.
         seed: u64,
@@ -49,8 +52,8 @@ impl SamplerSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`ExploreError`] when an axis is degenerate, a point
-    /// count is zero, or the full grid exceeds the supported size.
+    /// Returns [`ExploreError`] when an axis is degenerate, or the point
+    /// count is zero or exceeds the supported size.
     pub fn points(&self, axes: &[Axis]) -> Result<PointSet, ExploreError> {
         if axes.is_empty() {
             return Err(ExploreError::NoAxes);
@@ -59,38 +62,29 @@ impl SamplerSpec {
             axis.levels.validate(&axis.name)?;
         }
         let levels: Vec<Levels> = axes.iter().map(|a| a.levels.clone()).collect();
-        match *self {
-            SamplerSpec::Grid => {
-                let mut total: u128 = 1;
-                for l in &levels {
-                    total *= l.count() as u128;
-                }
-                if total > u128::from(MAX_POINTS) {
-                    return Err(ExploreError::GridTooLarge {
-                        points: total,
-                        limit: MAX_POINTS,
-                    });
-                }
-                Ok(PointSet {
-                    levels,
-                    len: total as usize,
-                    shape: Shape::Grid,
-                })
+        let len = match *self {
+            // Saturating: a product past `u128::MAX` is still too many.
+            SamplerSpec::Grid => levels
+                .iter()
+                .fold(1u128, |n, l| n.saturating_mul(l.count() as u128)),
+            SamplerSpec::Random { points, .. } | SamplerSpec::LatinHypercube { points, .. } => {
+                points as u128
             }
-            SamplerSpec::Random { points, seed } => {
-                if points == 0 {
-                    return Err(ExploreError::NoPoints);
-                }
-                Ok(PointSet {
-                    levels,
-                    len: points,
-                    shape: Shape::Random { seed },
-                })
-            }
-            SamplerSpec::LatinHypercube { points, seed } => {
-                if points == 0 {
-                    return Err(ExploreError::NoPoints);
-                }
+        };
+        if len == 0 {
+            return Err(ExploreError::NoPoints);
+        }
+        if len > u128::from(MAX_POINTS) {
+            return Err(ExploreError::TooManyPoints {
+                points: len,
+                limit: MAX_POINTS,
+            });
+        }
+        let shape = match *self {
+            SamplerSpec::Grid => Shape::Grid,
+            SamplerSpec::Random { seed, .. } => Shape::Random { seed },
+            SamplerSpec::LatinHypercube { seed, .. } => {
+                let strata = u32::try_from(len).expect("MAX_POINTS fits in u32");
                 // One stratum permutation per axis, shuffled up front on
                 // the calling thread (the permutations are shared state;
                 // everything per-point stays a pure function of the
@@ -98,20 +92,21 @@ impl SamplerSpec {
                 let perms = (0..levels.len())
                     .map(|j| {
                         let mut rng = SimRng::stream(seed ^ LHS_PERM_STREAM, j as u64);
-                        let mut perm: Vec<u32> = (0..points as u32).collect();
+                        let mut perm: Vec<u32> = (0..strata).collect();
                         for k in (1..perm.len()).rev() {
                             perm.swap(k, rng.range_usize(0, k + 1));
                         }
                         perm
                     })
                     .collect();
-                Ok(PointSet {
-                    levels,
-                    len: points,
-                    shape: Shape::Lhs { seed, perms },
-                })
+                Shape::Lhs { seed, perms }
             }
-        }
+        };
+        Ok(PointSet {
+            levels,
+            len: len as usize,
+            shape,
+        })
     }
 }
 
@@ -271,7 +266,28 @@ mod tests {
         let huge = vec![Axis::new("x", Levels::linspace(0.0, 1.0, 1 << 17)); 3];
         assert!(matches!(
             SamplerSpec::Grid.points(&huge),
-            Err(ExploreError::GridTooLarge { .. })
+            Err(ExploreError::TooManyPoints { .. })
         ));
+        // 65 536⁸ = 2¹²⁸ points overflows even a u128 product.
+        let overflowing = vec![Axis::new("x", Levels::linspace(0.0, 1.0, 1 << 16)); 8];
+        assert!(matches!(
+            SamplerSpec::Grid.points(&overflowing),
+            Err(ExploreError::TooManyPoints {
+                points: u128::MAX,
+                ..
+            })
+        ));
+        // Past u32::MAX the Latin hypercube's strata would wrap, so no
+        // sampler may ask for that many points.
+        let points = (1usize << 32) + 3;
+        for spec in [
+            SamplerSpec::Random { points, seed: 0 },
+            SamplerSpec::LatinHypercube { points, seed: 0 },
+        ] {
+            assert!(matches!(
+                spec.points(&axes()),
+                Err(ExploreError::TooManyPoints { .. })
+            ));
+        }
     }
 }

@@ -87,7 +87,13 @@ impl Levels {
             return Err(ExploreError::EmptyAxis { axis: axis.into() });
         }
         let (lo, hi) = self.bounds();
-        if !lo.is_finite() || !hi.is_finite() || lo > hi {
+        // `bounds` folds with `f64::min`/`max`, which skip NaN, so an
+        // explicit list is checked level by level.
+        let non_finite = match self {
+            Levels::Linear { .. } => !lo.is_finite() || !hi.is_finite(),
+            Levels::Explicit(values) => values.iter().any(|v| !v.is_finite()),
+        };
+        if non_finite || lo > hi {
             return Err(ExploreError::InvalidAxisRange {
                 axis: axis.into(),
                 lo,

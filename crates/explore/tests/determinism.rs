@@ -3,7 +3,8 @@
 //! executor thread count, for every sampler.
 
 use ipass_explore::{
-    FlowAxis, FlowExplorer, Levels, Metric, Objective, RefineOptions, SamplerSpec,
+    Exploration, FlowAxis, FlowExplorer, Levels, Metric, Objective, ParetoFrontier, RefineOptions,
+    SamplerSpec,
 };
 use ipass_moe::{CostCategory, Flow, Line, Part, Process, StepCost, StopRule, Test, YieldModel};
 use ipass_sim::Executor;
@@ -45,6 +46,18 @@ fn explorer(executor: Executor) -> FlowExplorer {
         .with_executor(executor)
 }
 
+/// Run both screens on one fresh explorer; each must add exactly two
+/// patch-slot writes per point (two single-slot axes).
+fn screens(threads: usize, sampler: &SamplerSpec) -> (Exploration, ParetoFrontier) {
+    let explorer = explorer(Executor::new(threads));
+    let screen = explorer.explore(sampler).unwrap();
+    let writes = 2 * screen.points.len() as u64;
+    assert_eq!(explorer.patch_writes(), writes, "threads = {threads}");
+    let frontier = explorer.screen_frontier(sampler).unwrap();
+    assert_eq!(explorer.patch_writes(), 2 * writes, "threads = {threads}");
+    (screen, frontier)
+}
+
 #[test]
 fn screens_are_bit_identical_across_thread_counts() {
     for sampler in [
@@ -58,45 +71,15 @@ fn screens_are_bit_identical_across_thread_counts() {
             seed: 7,
         },
     ] {
-        let baseline = explorer(Executor::new(1)).explore(&sampler).unwrap();
-        let baseline_frontier = explorer(Executor::new(1))
-            .screen_frontier(&sampler)
-            .unwrap();
+        let (baseline, baseline_frontier) = screens(1, &sampler);
+        assert_eq!(baseline.points.len(), 144);
         assert_eq!(baseline.frontier, baseline_frontier);
         for threads in [2, 4, 8] {
-            let run = explorer(Executor::new(threads)).explore(&sampler).unwrap();
+            let (run, frontier) = screens(threads, &sampler);
             assert_eq!(run.points, baseline.points, "threads = {threads}");
             assert_eq!(run.frontier, baseline.frontier, "threads = {threads}");
-            assert_eq!(
-                explorer(Executor::new(threads))
-                    .screen_frontier(&sampler)
-                    .unwrap(),
-                baseline_frontier,
-                "threads = {threads}"
-            );
+            assert_eq!(frontier, baseline_frontier, "threads = {threads}");
         }
-    }
-}
-
-#[test]
-fn directed_screen_is_bit_identical_across_thread_counts() {
-    let baseline = explorer(Executor::new(1))
-        .screen_frontier_directed()
-        .unwrap();
-    // Also exact against the full-grid screen.
-    assert_eq!(
-        baseline.frontier,
-        explorer(Executor::new(1))
-            .screen_frontier(&SamplerSpec::Grid)
-            .unwrap()
-    );
-    for threads in [2, 4, 8] {
-        let run = explorer(Executor::new(threads))
-            .screen_frontier_directed()
-            .unwrap();
-        assert_eq!(run.frontier, baseline.frontier, "threads = {threads}");
-        assert_eq!(run.evaluated, baseline.evaluated, "threads = {threads}");
-        assert_eq!(run.grid_points, baseline.grid_points);
     }
 }
 

@@ -1352,43 +1352,6 @@ mod tests {
     }
 
     #[test]
-    fn directed_screen_reproduces_solution2_golden_frontier() {
-        // The golden 32×32 substrate-cost × test-coverage grid of the
-        // real solution-2 flow (the `explore_frontier` bench shape):
-        // gradient-directed screening must reproduce the full-grid
-        // frontier exactly while evaluating fewer analytic points.
-        use ipass_explore::{FlowAxis, FlowExplorer, Levels, Metric, Objective, SamplerSpec};
-
-        let buildup = BuildUp::paper_solutions()[1];
-        let plan = buildup
-            .plan(&gps_bom(&buildup), SelectionObjective::MinArea)
-            .unwrap();
-        let area = plan.area().substrate_area;
-        let flow = plan.production_flow(area, &cost_inputs(&buildup)).unwrap();
-        let carrier = flow.line().carrier().name().to_owned();
-        let explorer = FlowExplorer::new(flow.compiled().unwrap())
-            .axis(FlowAxis::cost_scale(
-                &carrier,
-                Levels::linspace(0.5, 1.5, 32),
-            ))
-            .axis(FlowAxis::coverage(
-                "functional test",
-                Levels::linspace(0.9, 0.999, 32),
-            ))
-            .objective(Objective::minimize(Metric::FinalCostPerShipped))
-            .objective(Objective::minimize(Metric::EscapeRate));
-        let full = explorer.screen_frontier(&SamplerSpec::Grid).unwrap();
-        let directed = explorer.screen_frontier_directed().unwrap();
-        assert_eq!(directed.frontier, full);
-        assert!(
-            directed.evaluated < directed.grid_points,
-            "directed paid {} of {} points",
-            directed.evaluated,
-            directed.grid_points
-        );
-    }
-
-    #[test]
     fn mc_and_analytic_fig5_agree() {
         let analytic = fig5().unwrap();
         let mc = fig5_monte_carlo(60_000, 7).unwrap();

@@ -104,7 +104,7 @@ pub use line::{Line, LineBuilder};
 pub use mc::simulate_line_reference;
 pub use mc::{SimOptions, SimSummary, DEFAULT_LANE_WIDTH, DEFAULT_SUBASSEMBLY_RETRY_BUDGET};
 pub use part::{AttachInput, Part};
-pub use patch::{analyze_patched_batch, CompiledFlow, FlowPatch, PatchDirective};
+pub use patch::{CompiledFlow, FlowPatch, PatchDirective};
 pub use report::{CostBreakdownRow, CostReport};
 pub use sensitivity::{Tornado, TornadoDirection, TornadoPatch, TornadoRow};
 pub use stage::{Attach, FailAction, Process, Rework, Stage, Test};

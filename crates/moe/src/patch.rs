@@ -1,8 +1,8 @@
 //! Parameter patching on compiled routing programs.
 //!
-//! Scenario grids (sweeps, tornado charts, trade-study scenario
-//! batches) evaluate the *same* production line hundreds of times with
-//! a handful of numbers changed per point. Rebuilding the [`Line`]
+//! Scenario grids (sweeps, tornado charts, design-space screens)
+//! evaluate the *same* production line hundreds of times with a
+//! handful of numbers changed per point. Rebuilding the [`Line`]
 //! object graph per point pays validation, label indexing and
 //! compilation every time just to move one float. A compiled
 //! [`RoutingProgram`] instead exposes a small set of *patch slots* —
@@ -50,41 +50,9 @@ use crate::error::FlowError;
 use crate::mc::{self, SimOptions, SimSummary};
 use crate::report::CostReport;
 use crate::verify::{self, StaticBounds, VerifyMode};
-use ipass_sim::{Executor, SimRng};
+use ipass_sim::SimRng;
 use ipass_units::{Money, Probability};
-use std::borrow::Cow;
 use std::sync::Arc;
-
-/// The one patched-evaluation fan-out every scenario surface delegates
-/// to — parameter sweeps ([`sweep_patched`](crate::sweep_patched)),
-/// tornado charts
-/// ([`Tornado::evaluate_patches`](crate::Tornado::evaluate_patches))
-/// and the `ipass-explore` design-space explorer all used to carry
-/// their own near-identical clone-patch-analyze loop; this is that loop,
-/// once.
-///
-/// For every item, `patch_for` produces the [`FlowPatch`] to evaluate —
-/// [`Cow::Owned`] when the point is patched on the fly (the sweep
-/// shape), [`Cow::Borrowed`] when the patch was prebuilt (the tornado
-/// shape) — and the batch is analyzed in parallel on `executor` with
-/// results, and the choice of reported error, identical to a serial
-/// evaluation.
-///
-/// # Errors
-///
-/// Fails on the first item (in batch order) whose patch cannot be built
-/// or whose patched flow ships nothing.
-pub fn analyze_patched_batch<'p, T, F>(
-    executor: &Executor,
-    items: &[T],
-    patch_for: F,
-) -> Result<Vec<CostReport>, FlowError>
-where
-    T: Sync,
-    F: Fn(usize, &T) -> Result<Cow<'p, FlowPatch>, FlowError> + Sync,
-{
-    executor.try_map(items, |i, item| patch_for(i, item)?.analyze())
-}
 
 /// A [`Flow`](crate::Flow)'s compiled routing program plus its run
 /// economics: the shareable, immutable base that [`FlowPatch`]es and

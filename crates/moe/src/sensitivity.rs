@@ -89,7 +89,7 @@ impl Tornado {
     }
 
     /// [`Tornado::evaluate_patches`] on an explicit executor; the
-    /// baseline and every low/high variant are analyzed in parallel.
+    /// low/high variants are analyzed in parallel.
     ///
     /// # Errors
     ///
@@ -99,28 +99,12 @@ impl Tornado {
         baseline: &CompiledFlow,
         inputs: &[TornadoPatch<'_>],
     ) -> Result<Tornado, FlowError> {
-        // One flat batch: the unpatched baseline first, then each
-        // input's low/high patch. An unpatched `FlowPatch` analyzes
-        // identically to `CompiledFlow::analyze`, so the baseline rides
-        // the same shared fan-out as the variants.
-        let mut variants: Vec<Option<&FlowPatch>> = Vec::with_capacity(1 + 2 * inputs.len());
-        variants.push(None);
-        for input in inputs {
-            variants.push(Some(&input.low));
-            variants.push(Some(&input.high));
-        }
-        let reports = crate::patch::analyze_patched_batch(executor, &variants, |_, variant| {
-            Ok(match variant {
-                None => std::borrow::Cow::Owned(baseline.patch()),
-                Some(patch) => std::borrow::Cow::Borrowed(*patch),
-            })
-        })?;
-        let costs: Vec<f64> = reports
-            .iter()
-            .map(|r| r.final_cost_per_shipped().units())
-            .collect();
-        let names = inputs.iter().map(|i| i.name);
-        Ok(Tornado::from_costs(&costs, names))
+        let mut costs = vec![baseline.analyze()?.final_cost_per_shipped().units()];
+        let variants: Vec<&FlowPatch> = inputs.iter().flat_map(|i| [&i.low, &i.high]).collect();
+        costs.extend(executor.try_map(&variants, |_, patch| {
+            Ok::<f64, FlowError>(patch.analyze()?.final_cost_per_shipped().units())
+        })?);
+        Ok(Tornado::from_costs(&costs, inputs.iter().map(|i| i.name)))
     }
 
     /// Evaluate a tornado in **one analytic pass**: the baseline walk

@@ -114,16 +114,14 @@ where
 {
     let compiled = flow.compiled()?;
     let xs: Vec<f64> = xs.into_iter().collect();
-    let reports = crate::patch::analyze_patched_batch(executor, &xs, |_, &x| {
+    executor.try_map(&xs, |_, &x| {
         let mut point = compiled.patch();
         patch(x, &mut point)?;
-        Ok(std::borrow::Cow::Owned(point))
-    })?;
-    Ok(xs
-        .into_iter()
-        .zip(reports)
-        .map(|(x, report)| SweepPoint { x, report })
-        .collect())
+        Ok(SweepPoint {
+            x,
+            report: point.analyze()?,
+        })
+    })
 }
 
 /// A cost-curve pair [`find_crossover`] cannot compare.
