@@ -23,9 +23,7 @@ use crate::error::ExploreError;
 use crate::pareto::{dominates, DesignPoint, ParetoFrontier, Sense};
 use crate::sample::SamplerSpec;
 use crate::space::{Axis, Levels};
-use ipass_moe::{
-    CompiledFlow, CostReport, Flow, FlowError, FlowPatch, PatchDirective, SimOptions, StopRule,
-};
+use ipass_moe::{CompiledFlow, CostReport, Flow, FlowError, FlowPatch, SimOptions, StopRule};
 use ipass_obs::{ExploreStats, Probe, Profiler, RunStats};
 use ipass_sim::{Executor, SimRng};
 use ipass_units::{Money, Probability};
@@ -162,31 +160,6 @@ impl FlowAxis {
     pub fn named(mut self, name: impl Into<String>) -> FlowAxis {
         self.axis.name = name.into();
         self
-    }
-
-    /// The declarative [`PatchDirective`] for value `x`, when the target
-    /// has one (volume and custom axes patch beyond the directive
-    /// vocabulary and return `None`).
-    pub fn directive(&self, x: f64) -> Option<PatchDirective> {
-        match &self.target {
-            FlowTarget::UnitCost { slot } => Some(PatchDirective::SetCost {
-                slot: slot.clone(),
-                unit_cost: Money::new(x),
-            }),
-            FlowTarget::CostScale { slot } => Some(PatchDirective::ScaleCost {
-                slot: slot.clone(),
-                factor: x,
-            }),
-            FlowTarget::Yield { slot } => Some(PatchDirective::SetYield {
-                slot: slot.clone(),
-                p: Probability::clamped(x),
-            }),
-            FlowTarget::Coverage { slot } => Some(PatchDirective::SetCoverage {
-                slot: slot.clone(),
-                p: Probability::clamped(x),
-            }),
-            FlowTarget::Volume | FlowTarget::Custom(_) => None,
-        }
     }
 
     /// Write value `x` into `patch`.
@@ -838,22 +811,6 @@ mod tests {
         assert_eq!(
             frontier,
             &explorer().screen_frontier(&SamplerSpec::Grid).unwrap()
-        );
-    }
-
-    #[test]
-    fn directives_mirror_the_setters() {
-        let axis = FlowAxis::cost_scale("board", Levels::linspace(0.5, 1.5, 3));
-        assert_eq!(
-            axis.directive(1.25),
-            Some(PatchDirective::ScaleCost {
-                slot: "board".into(),
-                factor: 1.25
-            })
-        );
-        assert_eq!(
-            FlowAxis::volume(Levels::linspace(1.0, 9.0, 3)).directive(4.0),
-            None
         );
     }
 

@@ -390,14 +390,6 @@ impl DualDirection {
     pub fn coverage(slot: impl Into<String>) -> DualDirection {
         DualDirection::new().with(slot, SlotKind::Coverage, 1.0)
     }
-
-    /// The direction's components, `(slot, kind, weight)` in insertion
-    /// order — what [`CompiledFlow::lint_directions`] resolves.
-    ///
-    /// [`CompiledFlow::lint_directions`]: crate::CompiledFlow::lint_directions
-    pub fn components(&self) -> impl Iterator<Item = (&str, SlotKind, f64)> + '_ {
-        self.parts.iter().map(|(s, k, w)| (s.as_str(), *k, *w))
-    }
 }
 
 /// Exact directional derivatives of one evaluated flow along one

@@ -66,16 +66,6 @@ pub enum FlowError {
         /// Retry budget that was exhausted.
         attempts: u32,
     },
-    /// A strict ([`FlowPatch::deny_warnings`]) patch wrote the same slot
-    /// twice — the second write silently discards the first, which in a
-    /// scenario definition almost always means two directives disagree
-    /// about the same parameter.
-    ///
-    /// [`FlowPatch::deny_warnings`]: crate::FlowPatch::deny_warnings
-    DuplicatePatchSlot {
-        /// The twice-written `name (kind)` pair.
-        slot: String,
-    },
     /// Static verification ([`CompiledFlow::verify`]) found
     /// error-severity diagnostics, so the requested operation refused to
     /// trust the program.
@@ -131,13 +121,6 @@ impl fmt::Display for FlowError {
                 write!(
                     f,
                     "nested line {line:?} produced no passing unit in {attempts} attempts"
-                )
-            }
-            FlowError::DuplicatePatchSlot { slot } => {
-                write!(
-                    f,
-                    "patch slot {slot:?} written twice; the second write would \
-                     silently discard the first"
                 )
             }
             FlowError::VerificationFailed {

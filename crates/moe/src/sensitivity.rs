@@ -127,7 +127,7 @@ impl Tornado {
         baseline: &CompiledFlow,
         inputs: &[TornadoDirection<'_>],
     ) -> Result<Tornado, FlowError> {
-        let dual = baseline.analyze_duals_ref(inputs.iter().map(|i| &i.direction))?;
+        let dual = baseline.analyze_duals(inputs.iter().map(|i| &i.direction))?;
         let baseline_cost = dual.report.final_cost_per_shipped().units();
         let rows = inputs
             .iter()

@@ -50,6 +50,9 @@ impl ServeCounters {
 pub struct Engine {
     registry: FlowRegistry,
     pub(crate) serve: ServeCounters,
+    /// Slot writes applied by answered `patch` requests (relaxed, like
+    /// the serve counters).
+    patch_writes: AtomicU64,
     /// Portable cores of every probed Monte Carlo run, merged — the
     /// engine-side half of the `stats` verb.
     engine_stats: Mutex<RunStats>,
@@ -62,6 +65,7 @@ impl Engine {
         Engine {
             registry,
             serve: ServeCounters::default(),
+            patch_writes: AtomicU64::new(0),
             engine_stats: Mutex::new(RunStats::default()),
             shutdown: AtomicBool::new(false),
         }
@@ -79,10 +83,11 @@ impl Engine {
     }
 
     /// The cumulative [`RunStats`] of this server: merged engine
-    /// counters from probed runs plus the serve plane from the
-    /// connection counters.
+    /// counters from probed runs, the slot writes of answered `patch`
+    /// requests, and the serve plane from the connection counters.
     pub fn run_stats(&self) -> RunStats {
         let mut stats = *self.engine_stats.lock().unwrap_or_else(|p| p.into_inner());
+        stats.patch_writes += self.patch_writes.load(Ordering::Relaxed);
         stats.serve = self.serve.snapshot();
         stats
     }
@@ -159,6 +164,8 @@ impl Engine {
                     patch.set_volume(v);
                 }
                 let report = patch.analyze().map_err(engine_error)?;
+                self.patch_writes
+                    .fetch_add(patch.writes(), Ordering::Relaxed);
                 let extra = vec![("writes", Json::Int(patch.writes() as i64))];
                 Ok(report_response("patch", &flow, extra, &report))
             }
@@ -316,7 +323,9 @@ mod tests {
     fn stats_counts_requests_and_cache_traffic() {
         let e = engine();
         let _ = e.handle_line(r#"{"verb":"analyze","flow":"demo"}"#);
-        let _ = e.handle_line(r#"{"verb":"analyze","flow":"demo"}"#);
+        let _ = e.handle_line(
+            r#"{"verb":"patch","flow":"demo","directives":[{"scale":"cost","slot":"c","factor":2},{"set":"coverage","slot":"ft","value":0.9}]}"#,
+        );
         let _ = e.handle_line(r#"{"verb":"nope"}"#);
         let _ = e.frame_error(ErrorCode::InvalidUtf8, "not evaluated");
         let resp = e.handle_line(r#"{"verb":"stats"}"#);
@@ -333,6 +342,9 @@ mod tests {
         assert_eq!(json::number_field(cache, "misses"), Some(1.0));
         assert_eq!(json::number_field(cache, "dropped"), Some(0.0));
         assert_eq!(json::number_field(cache, "poisoned"), Some(0.0));
+        // The patch's two slot writes reach the engine plane.
+        let engine = json::field_value(&resp, "engine").unwrap();
+        assert_eq!(json::number_field(engine, "patch_writes"), Some(2.0));
     }
 
     #[test]

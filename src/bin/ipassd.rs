@@ -132,7 +132,9 @@ fn smoke_test(registry: FlowRegistry) -> ExitCode {
             r#"{"verb":"mc","flow":"solution2","units":2000,"seed":42}"#,
             r#""ok":true,"verb":"mc""#,
         ),
-        (r#"{"verb":"stats"}"#, r#""ok":true,"verb":"stats""#),
+        // Only an `ok` stats answer carries the engine counters, and it
+        // must count the one slot write of the patch above.
+        (r#"{"verb":"stats"}"#, r#""patch_writes":1}"#),
         ("definitely not json", r#""code":"malformed-json""#),
     ];
     for (request, fragment) in checks {
