@@ -519,9 +519,10 @@ impl FlowExplorer {
     }
 
     /// Attach a wall-clock profiler: [`FlowExplorer::explore`] and
-    /// [`FlowExplorer::screen_frontier`] record a `"screen"` span,
-    /// [`FlowExplorer::refine`] a `"confirm"` span around the Monte
-    /// Carlo pass. Timings live strictly outside the deterministic
+    /// [`FlowExplorer::screen_frontier`] record a `"screen"` span;
+    /// [`FlowExplorer::refine`] adds a `"promote"` span around the
+    /// choice of points to confirm and a `"confirm"` span around the
+    /// Monte Carlo pass. Timings live strictly outside the deterministic
     /// plane — no result or [`RunStats`] ever depends on them.
     pub fn with_profiler(mut self, profiler: Profiler) -> FlowExplorer {
         self.profiler = Some(profiler);
@@ -657,7 +658,10 @@ impl FlowExplorer {
     {
         let writes_before = self.patch_writes.load(Ordering::Relaxed);
         let screen = self.explore(sampler)?;
-        let promoted = promote(&screen, options.margin);
+        let promoted = {
+            let _span = self.profiler.as_ref().map(|p| p.span("promote"));
+            promote(&screen, options.margin)
+        };
         let patch_writes = self.patch_writes.load(Ordering::Relaxed) - writes_before;
         let _span = self.profiler.as_ref().map(|p| p.span("confirm"));
         let confirmations = self.executor.try_map(&promoted, |_, &i| {
@@ -700,7 +704,26 @@ impl FlowExplorer {
 /// Frontier members are never dominated, so the promotion set is
 /// always a frontier superset, and `margin = 0` promotes exactly the
 /// frontier.
+///
+/// Only frontier members are tried as pruners: O(points × frontier)
+/// instead of O(points²), for the same set. If q ε-dominates p, some
+/// member f equals or dominates q (the frontier keeps exact ties), so f
+/// dominates p; and `norm` is a chain of correctly rounded subtractions
+/// and divisions, hence monotone, so `norm(f, j) ≤ norm(q, j)` and f
+/// ε-dominates p too. Members are screened points, so the scan never
+/// prunes a point the all-pairs scan keeps.
+///
+/// Caveat: when an objective is ±∞, or its `hi − lo` overflows, `norm`
+/// yields NaN and the monotone step fails. The all-pairs answer then
+/// rests on NaN comparisons, and the frontier scan promotes a superset
+/// of it, never fewer points.
 fn promote(screen: &Exploration, margin: f64) -> Vec<usize> {
+    promote_against(screen, margin, screen.frontier.members())
+}
+
+/// [`promote`] with the candidate pruners given: the points tried as
+/// ε-dominators of every screened point.
+fn promote_against(screen: &Exploration, margin: f64, pruners: &[DesignPoint]) -> Vec<usize> {
     let k = screen.senses.len();
     let n = screen.points.len();
     // Min-max normalization, flipped so every objective minimizes;
@@ -730,7 +753,7 @@ fn promote(screen: &Exploration, margin: f64) -> Vec<usize> {
     (0..n)
         .filter(|&i| {
             let p = &screen.points[i];
-            !screen.points.iter().any(|q| {
+            !pruners.iter().any(|q| {
                 q.index != p.index
                     && dominates(&q.objectives, &p.objectives, &screen.senses)
                     && (0..k).all(|j| !live[j] || norm(p, j) - norm(q, j) >= margin)
@@ -743,6 +766,8 @@ fn promote(screen: &Exploration, margin: f64) -> Vec<usize> {
 mod tests {
     use super::*;
     use ipass_moe::{CostCategory, Line, Part, Process, StepCost, Test, YieldModel};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn flow(board_cost: f64, coverage: f64) -> Flow {
         let line = Line::builder(
@@ -968,7 +993,119 @@ mod tests {
             .unwrap();
         let trace = profiler.trace();
         let names: Vec<&str> = trace.spans.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, ["screen", "confirm"]);
+        assert_eq!(names, ["screen", "promote", "confirm"]);
         assert_eq!(trace.spans[0].count, 1);
+    }
+
+    /// The all-pairs scan: every screened point is tried as a pruner.
+    fn promote_all_pairs(screen: &Exploration, margin: f64) -> Vec<usize> {
+        promote_against(screen, margin, &screen.points)
+    }
+
+    /// Objective values whose every range stays finite: coarse levels,
+    /// so that exact ties occur, plus −0, a subnormal and ±1e300.
+    fn finite_value() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            (0u8..5).prop_map(f64::from),
+            (0u8..5).prop_map(f64::from),
+            -1e3f64..1e3,
+            Just(-0.0),
+            Just(5e-324),
+            Just(1e300),
+            Just(-1e300),
+        ]
+    }
+
+    /// Finite values with one in three making a value or a range
+    /// non-finite, so that clouds keep some live objectives.
+    fn extreme_value() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            finite_value(),
+            finite_value(),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(1.7e308),
+            Just(-1.7e308),
+        ]
+    }
+
+    /// A screen over the first `k` values of each row, objective `j`
+    /// maximized where `maximize[j]`; objective `constant` (if any)
+    /// reads the same value at every point.
+    fn cloud(
+        rows: &[(f64, f64, f64)],
+        k: usize,
+        maximize: &[bool],
+        constant: usize,
+    ) -> Exploration {
+        let senses: Vec<Sense> = maximize[..k]
+            .iter()
+            .map(|&m| if m { Sense::Maximize } else { Sense::Minimize })
+            .collect();
+        let points: Vec<DesignPoint> = rows
+            .iter()
+            .enumerate()
+            .map(|(index, &(a, b, c))| {
+                let mut objectives = vec![a, b, c];
+                objectives.truncate(k);
+                if let Some(v) = objectives.get_mut(constant) {
+                    *v = 2.0;
+                }
+                DesignPoint {
+                    index,
+                    coords: vec![index as f64],
+                    objectives,
+                }
+            })
+            .collect();
+        Exploration {
+            axes: vec!["index".into()],
+            objectives: (0..k).map(|j| format!("objective {j}")).collect(),
+            frontier: ParetoFrontier::extract(senses.clone(), points.iter().cloned()),
+            senses,
+            points,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn frontier_scan_promotes_what_the_all_pairs_scan_does(
+            rows in vec((finite_value(), finite_value(), finite_value()), 1..48),
+            k in 1usize..4,
+            maximize in vec(proptest::bool::ANY, 3..4),
+            constant in 0usize..6,
+            random_margin in 0.0f64..1.0,
+        ) {
+            let screen = cloud(&rows, k, &maximize, constant);
+            for margin in [0.0, 0.05, 1.0, random_margin] {
+                prop_assert_eq!(
+                    promote(&screen, margin),
+                    promote_all_pairs(&screen, margin),
+                    "margin {}",
+                    margin
+                );
+            }
+        }
+
+        #[test]
+        fn frontier_scan_never_promotes_fewer_on_non_finite_screens(
+            rows in vec((extreme_value(), extreme_value(), extreme_value()), 1..16),
+            k in 1usize..4,
+            maximize in vec(proptest::bool::ANY, 3..4),
+            constant in 0usize..6,
+            random_margin in 0.0f64..1.0,
+        ) {
+            let screen = cloud(&rows, k, &maximize, constant);
+            for margin in [0.0, 0.05, 1.0, random_margin] {
+                let promoted = promote(&screen, margin);
+                let oracle = promote_all_pairs(&screen, margin);
+                prop_assert!(
+                    oracle.iter().all(|i| promoted.contains(i)),
+                    "margin {margin}: {promoted:?} misses some of {oracle:?}"
+                );
+            }
+        }
     }
 }

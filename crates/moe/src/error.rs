@@ -58,6 +58,14 @@ pub enum FlowError {
         /// The requested `name (kind)` pair.
         slot: String,
     },
+    /// A patch would have written a cost the verifier rejects (non-finite
+    /// or negative); the write was refused and the patch is unchanged.
+    InvalidPatchCost {
+        /// The cost slot's name.
+        slot: String,
+        /// The refused amount, as the op would have booked it.
+        value: f64,
+    },
     /// A nested line never produced a passing unit within the retry
     /// budget of the Monte Carlo engine.
     SubassemblyStarved {
@@ -115,6 +123,13 @@ impl fmt::Display for FlowError {
                     f,
                     "patch slot {slot:?} matches more than one stage/part; \
                      rename the duplicates to patch them"
+                )
+            }
+            FlowError::InvalidPatchCost { slot, value } => {
+                write!(
+                    f,
+                    "patch refused cost {value} on slot {slot:?}; \
+                     costs must be finite and non-negative"
                 )
             }
             FlowError::SubassemblyStarved { line, attempts } => {

@@ -386,6 +386,28 @@ impl FlowPatch {
         )
     }
 
+    /// Write `cost(current, quantity)` into a cost slot and count the
+    /// write, unless the verifier would reject the result: a refused
+    /// write leaves the op and [`FlowPatch::writes`] unchanged.
+    fn write_cost(
+        &mut self,
+        slot: &str,
+        cost: impl FnOnce(f64, u32) -> f64,
+    ) -> Result<&mut FlowPatch, FlowError> {
+        let (op, qty) = self.program.resolve_slot(slot, SlotKind::Cost)?;
+        let field = self.cost_of(op);
+        let value = cost(*field, qty);
+        if verify::cost_defect(value).is_some() {
+            return Err(FlowError::InvalidPatchCost {
+                slot: slot.to_owned(),
+                value,
+            });
+        }
+        *field = value;
+        self.writes += 1;
+        Ok(self)
+    }
+
     /// Set a cost slot to `unit_cost` per input unit (the op books
     /// `quantity × unit_cost`; quantity is 1 for everything but
     /// multi-part attach inputs).
@@ -394,12 +416,10 @@ impl FlowPatch {
     ///
     /// Returns [`FlowError::UnknownPatchSlot`] when the program has no
     /// cost slot of that name (e.g. the step compiled away as a free,
-    /// certain no-op).
+    /// certain no-op), and [`FlowError::InvalidPatchCost`] when the
+    /// booked amount would be non-finite or negative.
     pub fn set_cost(&mut self, slot: &str, unit_cost: Money) -> Result<&mut FlowPatch, FlowError> {
-        let (op, qty) = self.resolve(slot, SlotKind::Cost)?;
-        let folded = qty as f64 * unit_cost.units();
-        *self.cost_of(op) = folded;
-        Ok(self)
+        self.write_cost(slot, |_, qty| qty as f64 * unit_cost.units())
     }
 
     /// Multiply a cost slot's current value by `factor`.
@@ -407,11 +427,10 @@ impl FlowPatch {
     /// # Errors
     ///
     /// Returns [`FlowError::UnknownPatchSlot`] when the program has no
-    /// cost slot of that name.
+    /// cost slot of that name, and [`FlowError::InvalidPatchCost`] when
+    /// the scaled amount would be non-finite or negative.
     pub fn scale_cost(&mut self, slot: &str, factor: f64) -> Result<&mut FlowPatch, FlowError> {
-        let (op, _) = self.resolve(slot, SlotKind::Cost)?;
-        *self.cost_of(op) *= factor;
-        Ok(self)
+        self.write_cost(slot, |cost, _| cost * factor)
     }
 
     /// Set a yield slot to `p` per input unit (the op folds in
@@ -477,7 +496,9 @@ impl FlowPatch {
     /// # Errors
     ///
     /// Returns [`FlowError::UnknownPatchSlot`] when the directive names
-    /// a slot the program does not expose.
+    /// a slot the program does not expose, and
+    /// [`FlowError::InvalidPatchCost`] when a cost directive would book
+    /// a non-finite or negative amount.
     pub fn apply(&mut self, directive: &PatchDirective) -> Result<&mut FlowPatch, FlowError> {
         match directive {
             PatchDirective::SetCost { slot, unit_cost } => self.set_cost(slot, *unit_cost),
@@ -648,6 +669,59 @@ mod tests {
         // yield slot to patch.
         let err = patch.set_yield("a", p(0.5)).unwrap_err();
         assert!(matches!(err, FlowError::UnknownPatchSlot { .. }));
+    }
+
+    #[test]
+    fn costs_the_verifier_rejects_are_refused() {
+        // Scaled below zero, set below zero, scaled past f64::MAX.
+        let base = flow(10.0, 0.9).compiled().unwrap();
+        let mut patch = base.patch();
+        let before = patch.analyze().unwrap();
+        for (directive, refused) in [
+            (
+                PatchDirective::ScaleCost {
+                    slot: "c".into(),
+                    factor: -1.0,
+                },
+                -10.0,
+            ),
+            (
+                PatchDirective::SetCost {
+                    slot: "c".into(),
+                    unit_cost: Money::new(-5.0),
+                },
+                -5.0,
+            ),
+            (
+                PatchDirective::ScaleCost {
+                    slot: "c".into(),
+                    factor: 1e308,
+                },
+                f64::INFINITY,
+            ),
+        ] {
+            let err = patch.apply(&directive).unwrap_err();
+            assert_eq!(
+                err,
+                FlowError::InvalidPatchCost {
+                    slot: "c".into(),
+                    value: refused
+                }
+            );
+            assert!(err.to_string().contains("\"c\""), "{err}");
+        }
+        // A refused write leaves the op and the write count untouched.
+        assert_eq!(patch.writes(), 0);
+        assert_eq!(patch.analyze().unwrap(), before);
+        assert!(!patch.lint().has_errors());
+        // Zero and −0 pass, as they pass the verifier.
+        patch
+            .set_cost("c", Money::new(-0.0))
+            .unwrap()
+            .scale_cost("c", 0.0)
+            .unwrap();
+        assert_eq!(patch.writes(), 2);
+        assert!(!patch.lint().has_errors());
     }
 
     #[test]

@@ -252,6 +252,20 @@ fn info(diags: &mut Diagnostics, code: &'static str, path: String, message: Stri
     diags.push(Diagnostic::new(Severity::Info, code, path, message));
 }
 
+/// The diagnostic code and rule of a booked amount that breaks the cost
+/// invariant, or `None` for a finite, non-negative amount. The one
+/// predicate behind the verifier's cost errors and the patch setters'
+/// refusal, so that a patch can never write a cost the verifier rejects.
+pub(crate) fn cost_defect(value: f64) -> Option<(&'static str, &'static str)> {
+    if !value.is_finite() {
+        Some(("nonfinite-cost", "every booked amount must be finite"))
+    } else if value < 0.0 {
+        Some(("negative-cost", "costs must be non-negative"))
+    } else {
+        None
+    }
+}
+
 /// Per-op field checks: finite non-negative costs, in-range
 /// probabilities, bit-recomputable thresholds, in-bounds label and
 /// line-name indices, non-zero consume quantities.
@@ -259,19 +273,12 @@ fn check_ops(program: &RoutingProgram, ops: &[Op], mode: VerifyMode, diags: &mut
     let n_labels = program.names().len();
     let n_lines = program.line_names().len();
     let check_cost = |diags: &mut Diagnostics, i: usize, what: &str, value: f64| {
-        if !value.is_finite() {
+        if let Some((code, rule)) = cost_defect(value) {
             error(
                 diags,
-                "nonfinite-cost",
+                code,
                 op_path(program, ops, i),
-                format!("{what} is {value}; every booked amount must be finite"),
-            );
-        } else if value < 0.0 {
-            error(
-                diags,
-                "negative-cost",
-                op_path(program, ops, i),
-                format!("{what} is {value}; costs must be non-negative"),
+                format!("{what} is {value}; {rule}"),
             );
         }
     };

@@ -312,11 +312,25 @@ mod tests {
         assert_eq!(json::string_field(&resp, "ok"), Some("false"));
         let err = json::field_value(&resp, "error").unwrap();
         assert_eq!(json::string_field(err, "code"), Some("unknown-flow"));
-        let resp = e.handle_line(
-            r#"{"verb":"patch","flow":"demo","directives":[{"set":"cost","slot":"ghost","value":1}]}"#,
-        );
-        let err = json::field_value(&resp, "error").unwrap();
-        assert_eq!(json::string_field(err, "code"), Some("engine-error"));
+        // An unknown slot, then costs the verifier would reject: scaled
+        // below zero, set below zero, and scaled past f64::MAX (which
+        // used to panic inside the report).
+        for directive in [
+            r#"{"set":"cost","slot":"ghost","value":1}"#,
+            r#"{"scale":"cost","slot":"c","factor":-1}"#,
+            r#"{"set":"cost","slot":"c","value":-5}"#,
+            r#"{"scale":"cost","slot":"c","factor":1e308}"#,
+        ] {
+            let resp = e.handle_line(&format!(
+                r#"{{"verb":"patch","flow":"demo","directives":[{directive}]}}"#
+            ));
+            let err = json::field_value(&resp, "error").unwrap_or_else(|| panic!("{resp}"));
+            assert_eq!(
+                json::string_field(err, "code"),
+                Some("engine-error"),
+                "{resp}"
+            );
+        }
     }
 
     #[test]

@@ -22,6 +22,10 @@
 //! Optional sequential early stopping evaluates a confidence-interval
 //! rule at every prefix extension (again in chunk order), so the
 //! stopping point is a pure function of the data, not of scheduling.
+//!
+//! [`Executor::try_map`] folds on the same path, but its blocks follow
+//! the thread count: appending mapped items has no floating-point merge
+//! whose order could move a result.
 
 use crate::batch::BatchSampler;
 use crate::rng::SimRng;
@@ -104,6 +108,39 @@ pub struct RunOutcome<A> {
     pub units_run: u64,
     /// Whether the early-stopping rule fired.
     pub stopped_early: bool,
+}
+
+/// Three closures as a [`Sampler`], so that [`Executor::try_map_reduce`]
+/// and [`Executor::try_map`] inherit the in-order fold and the first
+/// error in unit order (the per-unit RNG stream is created but unused).
+struct Fold<FInit, FStep, FMerge> {
+    init: FInit,
+    step: FStep,
+    merge: FMerge,
+}
+
+impl<A, E, FInit, FStep, FMerge> Sampler for Fold<FInit, FStep, FMerge>
+where
+    A: Send,
+    E: Send,
+    FInit: Fn() -> A + Sync,
+    FStep: Fn(u64, &mut A) -> Result<(), E> + Sync,
+    FMerge: Fn(&mut A, A) + Sync,
+{
+    type Acc = A;
+    type Error = E;
+
+    fn make_acc(&self) -> A {
+        (self.init)()
+    }
+
+    fn sample(&self, unit: u64, _rng: &mut SimRng, acc: &mut A) -> Result<(), E> {
+        (self.step)(unit, acc)
+    }
+
+    fn merge(&self, into: &mut A, from: A) {
+        (self.merge)(into, from)
+    }
 }
 
 /// Fixed chunk geometry: a pure function of the unit count so that the
@@ -216,7 +253,7 @@ impl Executor {
         seed: u64,
         options: &RunOptions,
     ) -> Result<RunOutcome<B::Acc>, B::Error> {
-        self.run_inner(sampler, units, seed, options, None)
+        self.run_inner(sampler, units, seed, chunk_size(units), options, None)
     }
 
     /// Like [`Executor::run_with`], recording wall-clock spans into
@@ -236,14 +273,17 @@ impl Executor {
         options: &RunOptions,
         profiler: &Profiler,
     ) -> Result<RunOutcome<B::Acc>, B::Error> {
-        self.run_inner(sampler, units, seed, options, Some(profiler))
+        let chunk = chunk_size(units);
+        self.run_inner(sampler, units, seed, chunk, options, Some(profiler))
     }
 
+    /// The chunked fold every entry point runs on, `chunk` units a chunk.
     fn run_inner<B: BatchSampler>(
         &self,
         sampler: &B,
         units: u64,
         seed: u64,
+        chunk: u64,
         options: &RunOptions,
         profiler: Option<&Profiler>,
     ) -> Result<RunOutcome<B::Acc>, B::Error> {
@@ -254,7 +294,6 @@ impl Executor {
                 stopped_early: false,
             });
         }
-        let chunk = chunk_size(units);
         let n_chunks = units.div_ceil(chunk);
         let workers = self.threads.min(n_chunks as usize);
         if workers <= 1 {
@@ -318,40 +357,6 @@ impl Executor {
         FStep: Fn(u64, &mut A) -> Result<(), E> + Sync,
         FMerge: Fn(&mut A, A) + Sync,
     {
-        /// Adapter presenting the three closures as a [`Sampler`] so the
-        /// map-reduce inherits the executor's chunk geometry, in-order
-        /// fold and first-error-in-unit-order semantics (the per-unit
-        /// RNG stream the machinery creates is simply unused).
-        struct Fold<FInit, FStep, FMerge> {
-            init: FInit,
-            step: FStep,
-            merge: FMerge,
-        }
-
-        impl<A, E, FInit, FStep, FMerge> Sampler for Fold<FInit, FStep, FMerge>
-        where
-            A: Send,
-            E: Send,
-            FInit: Fn() -> A + Sync,
-            FStep: Fn(u64, &mut A) -> Result<(), E> + Sync,
-            FMerge: Fn(&mut A, A) + Sync,
-        {
-            type Acc = A;
-            type Error = E;
-
-            fn make_acc(&self) -> A {
-                (self.init)()
-            }
-
-            fn sample(&self, unit: u64, _rng: &mut SimRng, acc: &mut A) -> Result<(), E> {
-                (self.step)(unit, acc)
-            }
-
-            fn merge(&self, into: &mut A, from: A) {
-                (self.merge)(into, from)
-            }
-        }
-
         self.run(&Fold { init, step, merge }, units, 0)
     }
 
@@ -359,12 +364,13 @@ impl Executor {
     /// order. On failure the error of the smallest index is returned —
     /// deterministically, matching a serial evaluation: items after the
     /// lowest failing index may be skipped, but everything before it is
-    /// always evaluated (items are claimed in index order).
+    /// always evaluated.
     ///
-    /// Workers publish `(index, result)` records over a channel and the
-    /// calling thread writes each into its own slot, so a large batch
-    /// (a scenario grid, a sweep) never serializes on a shared slot
-    /// lock.
+    /// Runs on the chunked fold of [`Executor::run`]: each block of
+    /// items maps into a local `Vec`, appended in block order. With no
+    /// floating-point merge to keep in order, blocks follow the thread
+    /// count (about eight per worker), so even a four-item batch fans
+    /// out over every worker.
     ///
     /// # Errors
     ///
@@ -376,61 +382,25 @@ impl Executor {
         E: Send,
         F: Fn(usize, &T) -> Result<O, E> + Sync,
     {
-        let workers = self.threads.min(items.len().max(1));
-        if workers <= 1 {
-            let mut out = Vec::with_capacity(items.len());
-            for (i, item) in items.iter().enumerate() {
-                out.push(f(i, item)?);
-            }
-            return Ok(out);
-        }
-        let cursor = AtomicU64::new(0);
-        // Lowest failing index seen so far; items above it are skipped.
-        let min_error = AtomicU64::new(u64::MAX);
-        let (tx, rx) = mpsc::channel::<(usize, Result<O, E>)>();
-        let slots = std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let cursor = &cursor;
-                let min_error = &min_error;
-                let f = &f;
-                scope.spawn(move || loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() as u64 {
-                        break;
-                    }
-                    if i > min_error.load(Ordering::Acquire) {
-                        continue;
-                    }
-                    let i = i as usize;
-                    let result = f(i, &items[i]);
-                    if result.is_err() {
-                        min_error.fetch_min(i as u64, Ordering::Release);
-                    }
-                    if tx.send((i, result)).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            let mut slots: Vec<Option<Result<O, E>>> = Vec::with_capacity(items.len());
-            slots.resize_with(items.len(), || None);
-            while let Ok((i, result)) = rx.recv() {
-                slots[i] = Some(result);
-            }
-            slots
-        });
-        let mut out = Vec::with_capacity(items.len());
-        for slot in slots {
-            // A `None` slot was skipped, which only happens behind a
-            // lower failing index — the error below surfaces first.
-            match slot {
-                Some(Ok(value)) => out.push(value),
-                Some(Err(e)) => return Err(e),
-                None => unreachable!("skipped item with no preceding error"),
-            }
-        }
-        Ok(out)
+        let units = items.len() as u64;
+        let block = units
+            .div_ceil((self.threads as u64).saturating_mul(8))
+            .max(1);
+        let blocks = Fold {
+            init: Vec::new,
+            step: |unit, acc: &mut Vec<O>| {
+                let i = unit as usize;
+                acc.push(f(i, &items[i])?);
+                Ok(())
+            },
+            // Only the prefix is merged into: size it once for the batch.
+            merge: |into: &mut Vec<O>, mut from: Vec<O>| {
+                into.reserve_exact(items.len() - into.len());
+                into.append(&mut from);
+            },
+        };
+        self.run_inner(&blocks, units, 0, block, &RunOptions::default(), None)
+            .map(|outcome| outcome.acc)
     }
 }
 
@@ -795,21 +765,50 @@ mod tests {
 
     #[test]
     fn try_map_orders_and_reports_first_error() {
-        let items: Vec<u64> = (0..500).collect();
-        let ok = Executor::new(4)
-            .try_map(&items, |i, &x| Ok::<_, String>(x + i as u64))
-            .unwrap();
-        assert_eq!(ok[7], 14);
-        let err = Executor::new(4)
-            .try_map(&items, |_, &x| {
-                if x % 100 == 99 {
-                    Err(format!("bad {x}"))
-                } else {
-                    Ok(x)
+        for len in [0, 1, 4, 17, 500] {
+            let items: Vec<u64> = (0..len).collect();
+            let serial: Vec<u64> = items.iter().map(|&x| 3 * x).collect();
+            for threads in [1, 2, 3, 8] {
+                let exec = Executor::new(threads);
+                let ok = exec.try_map(&items, |i, &x| Ok::<_, u64>(x + 2 * i as u64));
+                assert_eq!(ok, Ok(serial.clone()), "len {len}, threads {threads}");
+                // Every third item from the middle on fails: the lowest
+                // one wins, and every item before it was evaluated.
+                let first_bad = len / 2;
+                let evaluated = AtomicU64::new(0);
+                let err = exec.try_map(&items, |_, &x| {
+                    evaluated.fetch_add(u64::from(x < first_bad), Ordering::Relaxed);
+                    if x >= first_bad && (x - first_bad) % 3 == 0 {
+                        Err(x)
+                    } else {
+                        Ok(x)
+                    }
+                });
+                if len > 0 {
+                    assert_eq!(err, Err(first_bad), "len {len}, threads {threads}");
+                    assert_eq!(evaluated.into_inner(), first_bad);
                 }
-            })
-            .unwrap_err();
-        assert_eq!(err, "bad 99");
+            }
+        }
+    }
+
+    #[test]
+    fn try_map_spreads_a_small_batch_over_the_workers() {
+        // Each item raises its own flag, then waits for the other's: on
+        // one thread the first item would time out alone.
+        let flags = [AtomicBool::new(false), AtomicBool::new(false)];
+        let deadline = Instant::now() + std::time::Duration::from_secs(20);
+        let met = Executor::new(2).try_map(&[0usize, 1], |_, &i| {
+            flags[i].store(true, Ordering::Release);
+            while !flags[1 - i].load(Ordering::Acquire) {
+                if Instant::now() > deadline {
+                    return Err(i);
+                }
+                std::thread::yield_now();
+            }
+            Ok(i)
+        });
+        assert_eq!(met, Ok(vec![0, 1]), "the two items never ran at once");
     }
 
     #[test]

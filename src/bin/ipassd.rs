@@ -117,7 +117,7 @@ fn smoke_test(registry: FlowRegistry) -> ExitCode {
         }
     };
     // (request, must-contain fragment) — one per verb, plus the typed
-    // error for a malformed line.
+    // errors for a refused cost and a malformed line.
     let checks: &[(&str, &str)] = &[
         (
             r#"{"verb":"list"}"#,
@@ -135,6 +135,12 @@ fn smoke_test(registry: FlowRegistry) -> ExitCode {
         // Only an `ok` stats answer carries the engine counters, and it
         // must count the one slot write of the patch above.
         (r#"{"verb":"stats"}"#, r#""patch_writes":1}"#),
+        // A cost the verifier would reject gets its typed error, not a
+        // caught panic.
+        (
+            r#"{"verb":"patch","flow":"solution2","directives":[{"scale":"cost","slot":"functional test","factor":1e308}]}"#,
+            r#""code":"engine-error""#,
+        ),
         ("definitely not json", r#""code":"malformed-json""#),
     ];
     for (request, fragment) in checks {
@@ -164,7 +170,7 @@ fn smoke_test(registry: FlowRegistry) -> ExitCode {
     }
     server.wait();
     eprintln!(
-        "info: smoke passed — all verbs answered, typed error on malformed input, clean shutdown"
+        "info: smoke passed — all verbs answered, typed errors on a refused cost and malformed input, clean shutdown"
     );
     ExitCode::SUCCESS
 }
