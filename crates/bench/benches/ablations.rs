@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ipass_core::{BomItem, BuildUp, PassivePolicy, Realization, SelectionObjective, YieldBasis};
-use ipass_gps::{bom::gps_bom, paper, table2::cost_inputs};
+use ipass_gps::{bom::gps_bom, experiments::solution, paper, table2::cost_inputs};
 use ipass_moe::{find_crossover, DefectModel, SimOptions};
 use ipass_units::{Area, Money, Probability};
 use std::hint::black_box;
@@ -93,22 +93,14 @@ fn ablation_defect_models(c: &mut Criterion) {
 /// what volume does solution 4 still beat solution 1?
 fn ablation_nre_volume(c: &mut Criterion) {
     println!("\n== ablation: 30 000-unit IP mask-set NRE vs production volume ==");
-    let s1 = BuildUp::paper_solutions()[0];
-    let s4 = BuildUp::paper_solutions()[3];
-    let plan1 = s1.plan(&gps_bom(&s1), SelectionObjective::MinArea).unwrap();
-    let plan4 = s4.plan(&gps_bom(&s4), SelectionObjective::MinArea).unwrap();
+    let (_, flow1) = solution(0).unwrap();
+    let (_, flow4) = solution(3).unwrap();
     let mut curve1 = Vec::new();
     let mut curve4 = Vec::new();
     for volume in [500u64, 1_000, 2_000, 5_000, 10_000, 50_000] {
-        let r1 = plan1
-            .production_flow(plan1.area().substrate_area, &cost_inputs(&s1))
-            .unwrap()
-            .with_volume(volume)
-            .analyze()
-            .unwrap();
-        let r4 = plan4
-            .production_flow(plan4.area().substrate_area, &cost_inputs(&s4))
-            .unwrap()
+        let r1 = flow1.clone().with_volume(volume).analyze().unwrap();
+        let r4 = flow4
+            .clone()
             .with_nre(Money::new(30_000.0))
             .with_volume(volume)
             .analyze()
@@ -133,9 +125,8 @@ fn ablation_nre_volume(c: &mut Criterion) {
     c.bench_function("ablation_nre_volume", |b| {
         b.iter(|| {
             black_box(
-                plan4
-                    .production_flow(plan4.area().substrate_area, &cost_inputs(&s4))
-                    .unwrap()
+                flow4
+                    .clone()
                     .with_nre(Money::new(30_000.0))
                     .with_volume(10_000)
                     .analyze()
@@ -199,13 +190,7 @@ fn ablation_resistor_crossover(c: &mut Criterion) {
 /// Ablation 5: Monte Carlo sample count vs analytic truth.
 fn ablation_mc_convergence(c: &mut Criterion) {
     println!("\n== ablation: MC sample count vs analytic (solution 3 final cost) ==");
-    let buildup = BuildUp::paper_solutions()[2];
-    let plan = buildup
-        .plan(&gps_bom(&buildup), SelectionObjective::MinArea)
-        .unwrap();
-    let flow = plan
-        .production_flow(plan.area().substrate_area, &cost_inputs(&buildup))
-        .unwrap();
+    let (_, flow) = solution(2).unwrap();
     let truth = flow.analyze().unwrap().final_cost_per_shipped().units();
     for units in [1_000u64, 10_000, 100_000] {
         let mc = flow

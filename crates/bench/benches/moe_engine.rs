@@ -2,8 +2,7 @@
 //! evaluation and rework loops on the real solution-2 flow.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ipass_core::{BuildUp, SelectionObjective};
-use ipass_gps::{bom::gps_bom, table2::cost_inputs};
+use ipass_gps::{experiments::solution, table2::cost_inputs};
 use ipass_moe::{
     CostCategory, FailAction, Flow, Line, Part, Process, Rework, SimOptions, StepCost, Test,
     YieldModel,
@@ -12,12 +11,7 @@ use ipass_units::{Money, Probability};
 use std::hint::black_box;
 
 fn solution2_flow() -> Flow {
-    let buildup = BuildUp::paper_solutions()[1];
-    let plan = buildup
-        .plan(&gps_bom(&buildup), SelectionObjective::MinArea)
-        .unwrap();
-    plan.production_flow(plan.area().substrate_area, &cost_inputs(&buildup))
-        .unwrap()
+    solution(1).unwrap().1
 }
 
 fn bench_mc_scaling(c: &mut Criterion) {
@@ -148,58 +142,6 @@ fn bench_analytic(c: &mut Criterion) {
     });
 }
 
-/// The patched-program sweep against the rebuild-per-point baseline:
-/// a 64-point substrate-cost sweep of the real solution-2 flow. The
-/// rebuild path constructs and compiles a fresh production flow per
-/// point; the patched path compiles once and overwrites the carrier
-/// cost slot per point. Same curve (asserted in `analytic_ir.rs` and
-/// the sweep unit tests), very different work per point.
-fn bench_sweep_analytic(c: &mut Criterion) {
-    const POINTS: u64 = 64;
-    let buildup = BuildUp::paper_solutions()[1];
-    let plan = buildup
-        .plan(&gps_bom(&buildup), SelectionObjective::MinArea)
-        .unwrap();
-    let area = plan.area().substrate_area;
-    let base_card = cost_inputs(&buildup);
-    let flow = solution2_flow();
-    let carrier = flow.line().carrier().name().to_owned();
-    let base_carrier_cost = flow.line().carrier().cost().total();
-    let xs: Vec<f64> = (0..POINTS)
-        .map(|i| 0.5 + i as f64 / POINTS as f64)
-        .collect();
-
-    // Serial executor on both sides: the comparison is work per point,
-    // not parallel speedup.
-    let serial = ipass_moe::Executor::serial();
-    let mut group = c.benchmark_group("sweep_analytic");
-    group.throughput(Throughput::Elements(POINTS));
-    group.bench_function("rebuild", |b| {
-        b.iter(|| {
-            let reports = serial
-                .try_map(&xs, |_, &x| {
-                    let mut card = base_card.clone();
-                    card.substrate_cost_per_cm2 = card.substrate_cost_per_cm2 * x;
-                    plan.production_flow(area, &card)?.analyze()
-                })
-                .unwrap();
-            black_box(reports)
-        })
-    });
-    group.bench_function("patched", |b| {
-        b.iter(|| {
-            let points =
-                ipass_moe::sweep_patched_with(&serial, &flow, xs.iter().copied(), |x, patch| {
-                    patch.set_cost(&carrier, base_carrier_cost * x)?;
-                    Ok(())
-                })
-                .unwrap();
-            black_box(points)
-        })
-    });
-    group.finish();
-}
-
 /// The design-space explorer against the naive rebuild-per-point loop:
 /// a 1 024-point (32 × 32) substrate-cost × test-coverage grid of the
 /// real solution-2 flow, reduced to its Pareto frontier over
@@ -217,13 +159,9 @@ fn bench_explore_frontier(c: &mut Criterion) {
     };
 
     const SIDE: usize = 32;
-    let buildup = BuildUp::paper_solutions()[1];
-    let plan = buildup
-        .plan(&gps_bom(&buildup), SelectionObjective::MinArea)
-        .unwrap();
+    let (plan, flow) = solution(1).unwrap();
     let area = plan.area().substrate_area;
-    let base_card = cost_inputs(&buildup);
-    let flow = solution2_flow();
+    let base_card = cost_inputs(plan.buildup());
     let carrier = flow.line().carrier().name().to_owned();
 
     let scales = Levels::linspace(0.5, 1.5, SIDE);
@@ -305,8 +243,9 @@ fn bench_explore_frontier(c: &mut Criterion) {
 /// * `dual_pass` — one K=12 forward-mode walk
 ///   ([`Tornado::evaluate_gradients`]): every row is an exact gradient
 ///   extrapolation off a single analytic evaluation.
-/// * `patched_batch` — the pre-dual shape
-///   ([`Tornado::evaluate_patches`]): `1 + 2·12` patched cohort walks,
+/// * `patched_batch` — the pre-dual shape: `1 + 2·12` patched cohort
+///   walks (the baseline, then every low/high [`FlowPatch`] through
+///   [`Executor::try_map`]), assembled with [`Tornado::from_rows`];
 ///   serial executor so the comparison is work per chart, not parallel
 ///   speedup.
 ///
@@ -314,7 +253,10 @@ fn bench_explore_frontier(c: &mut Criterion) {
 /// cost is affine in every cost slot), so this measures the same
 /// answer computed 25 walks vs 1.
 fn bench_sensitivity_duals(c: &mut Criterion) {
-    use ipass_moe::{DualDirection, SlotKind, Tornado, TornadoDirection, TornadoPatch};
+    use ipass_moe::{
+        DualDirection, Executor, FlowError, FlowPatch, SlotKind, Tornado, TornadoDirection,
+        TornadoRow,
+    };
 
     let flow = solution2_flow();
     let compiled = flow.compiled().unwrap();
@@ -360,31 +302,45 @@ fn bench_sensitivity_duals(c: &mut Criterion) {
             }
         })
         .collect();
-    let patches: Vec<TornadoPatch<'_>> = rows
+    // The low/high variants, row by row: [low₀, high₀, low₁, …].
+    let variants: Vec<FlowPatch> = rows
         .iter()
-        .map(|slots| {
-            let mut low = compiled.patch();
-            let mut high = compiled.patch();
-            for slot in slots {
-                low.scale_cost(slot, 0.9).unwrap();
-                high.scale_cost(slot, 1.1).unwrap();
-            }
-            TornadoPatch {
-                name: &slots[0],
-                low,
-                high,
-            }
+        .flat_map(|slots| {
+            [0.9, 1.1].map(|factor| {
+                let mut patch = compiled.patch();
+                for slot in slots {
+                    patch.scale_cost(slot, factor).unwrap();
+                }
+                patch
+            })
         })
         .collect();
 
-    let serial = ipass_moe::Executor::serial();
+    let serial = Executor::serial();
     let mut group = c.benchmark_group("sensitivity_duals");
     group.throughput(Throughput::Elements(rows.len() as u64));
     group.bench_function("dual_pass", |b| {
         b.iter(|| black_box(Tornado::evaluate_gradients(&compiled, &directions).unwrap()))
     });
     group.bench_function("patched_batch", |b| {
-        b.iter(|| black_box(Tornado::evaluate_patches_with(&serial, &compiled, &patches).unwrap()))
+        b.iter(|| {
+            let baseline = compiled.analyze().unwrap().final_cost_per_shipped().units();
+            let costs = serial
+                .try_map(&variants, |_, patch| {
+                    Ok::<f64, FlowError>(patch.analyze()?.final_cost_per_shipped().units())
+                })
+                .unwrap();
+            let rows = rows
+                .iter()
+                .zip(costs.chunks_exact(2))
+                .map(|(slots, pair)| TornadoRow {
+                    name: slots[0].clone(),
+                    low_cost: pair[0],
+                    high_cost: pair[1],
+                })
+                .collect();
+            black_box(Tornado::from_rows(baseline, rows))
+        })
     });
     group.finish();
 }
@@ -466,7 +422,6 @@ criterion_group!(
     bench_mc_lane_widths,
     bench_mc_threads,
     bench_analytic,
-    bench_sweep_analytic,
     bench_explore_frontier,
     bench_sensitivity_duals,
     bench_rework

@@ -9,16 +9,18 @@ use crate::filters::{assess_performance, PerformanceAssessment};
 use crate::paper;
 use crate::table2::cost_inputs;
 use ipass_core::{
-    AreaBreakdown, BuildUp, BuildUpPlan, CandidateScore, DecisionError, DecisionTable, FomWeights,
-    PlanError, SelectionObjective,
+    AreaBreakdown, BuildUp, BuildUpPlan, CandidateScore, CostInputs, DecisionError, DecisionTable,
+    FomWeights, PlanError, SelectionObjective,
 };
 use ipass_explore::ExploreError;
-use ipass_moe::{CostCategory, CostReport, Flow, FlowError, SimOptions, SimSummary};
+use ipass_moe::{
+    CostCategory, CostReport, Flow, FlowError, FlowPatch, SimOptions, SimSummary, StepCost,
+};
 use ipass_passives::{
     smd_area_series, MimCapacitor, SpiralInductor, SynthesisError, ThinFilmProcess,
     ThinFilmResistor,
 };
-use ipass_units::{Capacitance, Inductance, Resistance};
+use ipass_units::{Area, Capacitance, Inductance, Probability, Resistance};
 use std::error::Error;
 use std::fmt;
 
@@ -99,6 +101,44 @@ pub struct SolutionAssessment {
     pub cost: CostReport,
 }
 
+/// Paper solution `index` (0–3, in [`BuildUp::paper_solutions`]
+/// order) as the methodology builds it: the GPS bill of materials
+/// planned for minimum area, and its production flow on the sized
+/// substrate under the Table 2 card `cost_inputs(plan.buildup())`.
+///
+/// # Errors
+///
+/// Returns [`ExperimentError`] if planning or flow construction fails.
+///
+/// # Panics
+///
+/// Panics if `index` is 4 or more.
+pub fn solution(index: usize) -> Result<(BuildUpPlan, Flow), ExperimentError> {
+    let buildup = BuildUp::paper_solutions()[index];
+    let plan = buildup.plan(&gps_bom(&buildup), SelectionObjective::MinArea)?;
+    let flow = plan.production_flow(plan.area().substrate_area, &cost_inputs(&buildup))?;
+    Ok((plan, flow))
+}
+
+/// Move the carrier's substrate yield to `y` on a patch of a solution's
+/// program. Under a known-good-substrate card the purchase cost pays
+/// for the fab's own scrap, so the carrier cost moves with the yield:
+/// the same expression `production_flow` uses.
+fn patch_substrate_yield(
+    patch: &mut FlowPatch,
+    carrier: &str,
+    card: &CostInputs,
+    area: Area,
+    y: Probability,
+) -> Result<(), FlowError> {
+    patch.set_yield(carrier, y)?;
+    if card.substrate_fab_yield_per_cm2.is_some() {
+        let rate = card.substrate_cost_per_cm2 / y.powf(area.cm2()).value();
+        patch.set_cost(carrier, StepCost::per_area(rate, area).total())?;
+    }
+    Ok(())
+}
+
 /// Run methodology steps 1–4 for all four paper solutions (analytic cost
 /// engine). The solutions are assessed in parallel on the shared
 /// [`ipass_sim`] executor — an embarrassingly parallel batch.
@@ -107,23 +147,16 @@ pub struct SolutionAssessment {
 ///
 /// Returns [`ExperimentError`] if planning or cost evaluation fails.
 pub fn assess_all() -> Result<Vec<SolutionAssessment>, ExperimentError> {
-    let solutions: Vec<(BuildUp, &'static str)> = BuildUp::paper_solutions()
-        .iter()
-        .copied()
-        .zip(paper::SOLUTION_NAMES.iter().copied())
-        .collect();
-    ipass_sim::Executor::available().try_map(&solutions, |_, &(buildup, label)| {
-        let plan = buildup.plan(&gps_bom(&buildup), SelectionObjective::MinArea)?;
-        let area = plan.area();
-        let flow = plan.production_flow(area.substrate_area, &cost_inputs(&buildup))?;
-        let cost = flow.analyze()?;
+    ipass_sim::Executor::available().try_map(&paper::SOLUTION_NAMES, |index, &label| {
+        let (plan, flow) = solution(index)?;
+        let buildup = *plan.buildup();
         Ok(SolutionAssessment {
             buildup,
             label,
-            plan,
-            area,
+            area: plan.area(),
             performance: assess_performance(&buildup),
-            cost,
+            cost: flow.analyze()?,
+            plan,
         })
     })
 }
@@ -137,14 +170,10 @@ pub fn assess_all() -> Result<Vec<SolutionAssessment>, ExperimentError> {
 ///
 /// Returns [`ExperimentError`] if planning or flow construction fails.
 pub fn solution_flows() -> Result<Vec<(&'static str, Flow)>, ExperimentError> {
-    BuildUp::paper_solutions()
+    paper::SOLUTION_NAMES
         .iter()
-        .zip(paper::SOLUTION_NAMES.iter().copied())
-        .map(|(buildup, label)| {
-            let plan = buildup.plan(&gps_bom(buildup), SelectionObjective::MinArea)?;
-            let flow = plan.production_flow(plan.area().substrate_area, &cost_inputs(buildup))?;
-            Ok((label, flow))
-        })
+        .enumerate()
+        .map(|(index, &label)| Ok((label, solution(index)?.1)))
         .collect()
 }
 
@@ -541,10 +570,7 @@ impl Fig4 {
 ///
 /// Returns [`ExperimentError`] if planning or simulation fails.
 pub fn fig4(seed: u64) -> Result<Fig4, ExperimentError> {
-    let buildup = BuildUp::paper_solutions()[1];
-    let plan = buildup.plan(&gps_bom(&buildup), SelectionObjective::MinArea)?;
-    let area = plan.area();
-    let flow = plan.production_flow(area.substrate_area, &cost_inputs(&buildup))?;
+    let (_, flow) = solution(1)?;
     let mut stages: Vec<String> = vec![format!(
         "component/carrier: {}",
         flow.line().carrier().name()
@@ -693,15 +719,9 @@ pub fn fig5() -> Result<Fig5, ExperimentError> {
 ///
 /// Returns [`ExperimentError`] if planning or simulation fails.
 pub fn fig5_monte_carlo(units: u64, seed: u64) -> Result<Fig5, ExperimentError> {
-    let solutions: Vec<(BuildUp, &'static str)> = BuildUp::paper_solutions()
-        .iter()
-        .copied()
-        .zip(paper::SOLUTION_NAMES.iter().copied())
-        .collect();
     let reports =
-        ipass_sim::Executor::available().try_map(&solutions, |_, &(buildup, label)| {
-            let plan = buildup.plan(&gps_bom(&buildup), SelectionObjective::MinArea)?;
-            let flow = plan.production_flow(plan.area().substrate_area, &cost_inputs(&buildup))?;
+        ipass_sim::Executor::available().try_map(&paper::SOLUTION_NAMES, |index, &label| {
+            let (_, flow) = solution(index)?;
             Ok::<_, ExperimentError>((
                 label,
                 flow.simulate(&SimOptions::new(units).with_seed(seed))?,
@@ -814,16 +834,11 @@ pub fn fig6() -> Result<Fig6, ExperimentError> {
 ///
 /// Returns [`ExperimentError`] if planning or evaluation fails.
 pub fn sensitivity(solution_index: usize) -> Result<ipass_moe::Tornado, ExperimentError> {
-    use ipass_moe::{
-        DualDirection, FlowPatch, SlotKind, StepCost, Tornado, TornadoDirection, TornadoRow,
-    };
-    use ipass_units::Probability;
+    use ipass_moe::{DualDirection, SlotKind, Tornado, TornadoDirection, TornadoRow};
 
-    let buildup = BuildUp::paper_solutions()[solution_index];
-    let plan = buildup.plan(&gps_bom(&buildup), SelectionObjective::MinArea)?;
+    let (plan, flow) = solution(solution_index)?;
     let area = plan.area().substrate_area;
-    let base_card = cost_inputs(&buildup);
-    let flow = plan.production_flow(area, &base_card)?;
+    let base_card = cost_inputs(plan.buildup());
     let compiled = flow.compiled()?;
     let carrier = flow.line().carrier().name().to_owned();
 
@@ -872,14 +887,7 @@ pub fn sensitivity(solution_index: usize) -> Result<ipass_moe::Tornado, Experime
     let shift_substrate_yield = |delta: f64| -> Result<FlowPatch, FlowError> {
         let mut patch = compiled.patch();
         let y = Probability::clamped(base_card.substrate_yield.value() + delta);
-        patch.set_yield(&carrier, y)?;
-        if base_card.substrate_fab_yield_per_cm2.is_some() {
-            // Known-good-substrate markup: the purchase cost pays for
-            // the fab's own scrap, so a yield shift moves the carrier
-            // cost too — the same expression `production_flow` uses.
-            let rate = base_card.substrate_cost_per_cm2 / y.powf(area.cm2()).value();
-            patch.set_cost(&carrier, StepCost::per_area(rate, area).total())?;
-        }
+        patch_substrate_yield(&mut patch, &carrier, &base_card, area, y)?;
         Ok(patch)
     };
     let set_coverage = |cov: f64| -> Result<FlowPatch, FlowError> {
@@ -967,32 +975,24 @@ pub fn design_space(solution_index: usize, grid: usize) -> Result<DesignSpace, E
     use ipass_explore::{
         FlowAxis, FlowExplorer, Levels, Metric, Objective, RefineOptions, SamplerSpec,
     };
-    use ipass_moe::{StepCost, StopRule};
-    use ipass_units::{Money, Probability};
+    use ipass_moe::StopRule;
+    use ipass_units::Money;
 
-    let buildup = BuildUp::paper_solutions()[solution_index];
-    let plan = buildup.plan(&gps_bom(&buildup), SelectionObjective::MinArea)?;
+    let (plan, flow) = solution(solution_index)?;
     let area = plan.area().substrate_area;
-    let card = cost_inputs(&buildup);
+    let card = cost_inputs(plan.buildup());
     let nre = Money::new(30_000.0);
 
-    let flow = plan.production_flow(area, &card)?.with_nre(nre);
+    let flow = flow.with_nre(nre);
     let carrier = flow.line().carrier().name().to_owned();
     let compiled = flow.compiled()?;
 
     let y0 = card.substrate_yield.value();
     let yields = Levels::linspace((y0 - 0.08).max(0.5), (y0 + 0.05).min(0.999), grid);
     let substrate_yield_axis = {
-        let carrier = carrier.clone();
         let card = card.clone();
         FlowAxis::custom("substrate yield", yields, move |y, patch| {
-            let y = Probability::clamped(y);
-            patch.set_yield(&carrier, y)?;
-            if card.substrate_fab_yield_per_cm2.is_some() {
-                let rate = card.substrate_cost_per_cm2 / y.powf(area.cm2()).value();
-                patch.set_cost(&carrier, StepCost::per_area(rate, area).total())?;
-            }
-            Ok(())
+            patch_substrate_yield(patch, &carrier, &card, area, Probability::clamped(y))
         })
     };
 
@@ -1080,8 +1080,7 @@ impl FinalDesignCheck {
 pub fn final_design_check() -> Result<FinalDesignCheck, ExperimentError> {
     use ipass_layout::{Rect, SkylinePacker, SubstrateRule};
 
-    let buildup = BuildUp::paper_solutions()[3];
-    let plan = buildup.plan(&gps_bom(&buildup), SelectionObjective::MinArea)?;
+    let (plan, _) = solution(3)?;
     let predicted = plan.area().substrate_area;
 
     let mut rects = Vec::new();
@@ -1249,12 +1248,10 @@ mod tests {
         use ipass_units::{Money, Probability};
 
         let close = |x: f64, y: f64| (x - y).abs() <= 1e-9 * x.abs().max(1.0);
-        for (index, buildup) in BuildUp::paper_solutions().into_iter().enumerate() {
-            let plan = buildup
-                .plan(&gps_bom(&buildup), SelectionObjective::MinArea)
-                .unwrap();
+        for index in 0..4 {
+            let (plan, _) = solution(index).unwrap();
             let area = plan.area().substrate_area;
-            let base = cost_inputs(&buildup);
+            let base = cost_inputs(plan.buildup());
             let cost = |card: &ipass_core::CostInputs| {
                 let report = plan.production_flow(area, card).unwrap().analyze().unwrap();
                 report.final_cost_per_shipped().units()

@@ -130,8 +130,15 @@ struct LineOutcome<S = f64> {
 }
 
 /// Assemble the [`CostReport`](crate::report::CostReport) from a
-/// per-started-unit outcome (shared by the IR walker and the
-/// `Line`-walking oracle, so their outputs are built identically).
+/// per-started-unit outcome (shared by the IR walker, patched programs,
+/// dual passes and the `Line`-walking oracle, so their outputs are
+/// built identically).
+///
+/// Costs that are each finite can still overflow when summed. A total
+/// spend or category spend that is not finite is refused with
+/// [`FlowError::NonFiniteCost`] before it reaches [`Money::new`], which
+/// panics on NaN; so is a final cost per shipped unit that is not
+/// finite.
 fn report_from(
     line_name: &str,
     names: &[String],
@@ -145,23 +152,34 @@ fn report_from(
             flow: line_name.to_owned(),
         });
     }
+    let overflow = || FlowError::NonFiniteCost {
+        flow: line_name.to_owned(),
+    };
+    let total_spend = outcome.embodied + acc.scrap_spend;
+    let by_cat: [f64; NCAT] = std::array::from_fn(|i| outcome.by_cat[i] + acc.scrap_by_cat[i]);
+    if !total_spend.is_finite() || !by_cat.iter().all(|s| s.is_finite()) {
+        return Err(overflow());
+    }
     let mut by_category = CostVector::new();
     for cat in CostCategory::ALL {
-        let i = cat.index();
-        by_category.book(cat, Money::new(outcome.by_cat[i] + acc.scrap_by_cat[i]));
+        by_category.book(cat, Money::new(by_cat[cat.index()]));
     }
-    Ok(crate::report::CostReport::from_parts(
+    let report = crate::report::CostReport::from_parts(
         line_name.to_owned(),
         1.0,
         outcome.shipped,
         outcome.good,
-        Money::new(outcome.embodied + acc.scrap_spend),
+        Money::new(total_spend),
         Money::new(outcome.embodied),
         by_category,
         nre,
         volume,
         labels::pareto(names, &acc.defects, 1.0),
-    ))
+    );
+    if !report.final_cost_per_shipped().units().is_finite() {
+        return Err(overflow());
+    }
+    Ok(report)
 }
 
 /// Evaluate a compiled program analytically (the production path behind

@@ -1,128 +1,6 @@
-//! Parameter sweeps and crossover search over flow families.
-//!
-//! [`sweep_patched`] compiles the flow **once** and overwrites named
-//! parameter slots per point (see [`crate::patch`]) — a cost, a yield,
-//! a coverage, the amortization volume — instead of rebuilding,
-//! validating and compiling a [`Flow`](crate::Flow) per point.
+//! Crossover search: where two sampled cost curves cross.
 
-use crate::error::FlowError;
-use crate::flow::Flow;
-use crate::patch::FlowPatch;
-use crate::report::CostReport;
-use ipass_sim::Executor;
 use std::fmt;
-
-/// One point of a parameter sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepPoint {
-    /// The swept parameter value.
-    pub x: f64,
-    /// The analytic cost report at this value.
-    pub report: CostReport,
-}
-
-impl SweepPoint {
-    /// Convenience accessor: final cost per shipped unit at this point.
-    pub fn final_cost(&self) -> f64 {
-        self.report.final_cost_per_shipped().units()
-    }
-}
-
-/// A sweep as a typed [`Series`] artifact: the swept parameter on x,
-/// final cost per shipped unit and shipped fraction as lines.
-///
-/// [`Series`]: ipass_report::Series
-pub fn sweep_series(
-    title: impl Into<String>,
-    x_name: impl Into<String>,
-    points: &[SweepPoint],
-) -> ipass_report::Series {
-    ipass_report::Series::new(
-        title,
-        x_name,
-        ipass_report::SeriesX::Values(points.iter().map(|p| p.x).collect()),
-    )
-    .with_precision(4)
-    .line(
-        "final cost per shipped",
-        points.iter().map(SweepPoint::final_cost).collect(),
-    )
-    .line(
-        "shipped fraction",
-        points.iter().map(|p| p.report.shipped_fraction()).collect(),
-    )
-}
-
-/// Evaluate a parameter sweep by patching `flow`'s cached compiled
-/// program per point instead of rebuilding a flow per point.
-///
-/// The patcher receives each `x` and a fresh [`FlowPatch`] of the
-/// compiled base program; apply the point's parameter values
-/// ([`FlowPatch::set_cost`], [`FlowPatch::set_yield`], …) and the point
-/// is evaluated analytically.
-///
-/// # Errors
-///
-/// Fails on the first point (in `xs` order) whose patch names an
-/// unknown slot or whose patched flow ships nothing, and up front when
-/// the flow itself is invalid.
-///
-/// # Examples
-///
-/// ```
-/// use ipass_moe::{sweep_patched, CostCategory, Flow, Line, Part, Process, StepCost};
-/// use ipass_units::Money;
-///
-/// let line = Line::builder("family", Part::new("c", CostCategory::Substrate)
-///         .with_cost(StepCost::fixed(Money::new(1.0))))
-///     .process(Process::new("p"))
-///     .build()?;
-/// let flow = Flow::new(line);
-/// let points = sweep_patched(&flow, [1.0, 2.0, 4.0], |x, patch| {
-///     patch.set_cost("c", Money::new(x))?;
-///     Ok(())
-/// })?;
-/// assert_eq!(points.len(), 3);
-/// assert!(points[2].final_cost() > points[0].final_cost());
-/// # Ok::<(), ipass_moe::FlowError>(())
-/// ```
-pub fn sweep_patched<I, F>(flow: &Flow, xs: I, patch: F) -> Result<Vec<SweepPoint>, FlowError>
-where
-    I: IntoIterator<Item = f64>,
-    F: Fn(f64, &mut FlowPatch) -> Result<(), FlowError> + Sync,
-{
-    sweep_patched_with(&Executor::available(), flow, xs, patch)
-}
-
-/// [`sweep_patched`] on an explicit executor. Points are evaluated in
-/// parallel (each point patches its own copy of the op vector); the
-/// result, including which error is reported, is identical to the
-/// serial evaluation.
-///
-/// # Errors
-///
-/// See [`sweep_patched`].
-pub fn sweep_patched_with<I, F>(
-    executor: &Executor,
-    flow: &Flow,
-    xs: I,
-    patch: F,
-) -> Result<Vec<SweepPoint>, FlowError>
-where
-    I: IntoIterator<Item = f64>,
-    F: Fn(f64, &mut FlowPatch) -> Result<(), FlowError> + Sync,
-{
-    let compiled = flow.compiled()?;
-    let xs: Vec<f64> = xs.into_iter().collect();
-    executor.try_map(&xs, |_, &x| {
-        let mut point = compiled.patch();
-        patch(x, &mut point)?;
-        Ok(SweepPoint {
-            x,
-            report: point.analyze()?,
-        })
-    })
-}
 
 /// A cost-curve pair [`find_crossover`] cannot compare.
 #[derive(Debug, Clone, PartialEq)]
@@ -241,52 +119,6 @@ pub fn find_crossover(a: &[(f64, f64)], b: &[(f64, f64)]) -> Result<Option<f64>,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::{CostCategory, StepCost};
-    use crate::line::Line;
-    use crate::part::Part;
-    use crate::stage::Process;
-    use ipass_units::Money;
-
-    fn linear_flow(cost: f64) -> Result<Flow, FlowError> {
-        let line = Line::builder(
-            "family",
-            Part::new("c", CostCategory::Substrate).with_cost(StepCost::fixed(Money::new(cost))),
-        )
-        .process(Process::new("p"))
-        .build()?;
-        Ok(Flow::new(line))
-    }
-
-    #[test]
-    fn patched_sweep_matches_rebuild_sweep() {
-        // The fast path traces the same curve as rebuilding the flow per
-        // point. The base point must carry a non-zero cost: a free,
-        // certain carrier would compile away and leave nothing to patch.
-        let base = linear_flow(1.0).unwrap();
-        let xs: Vec<f64> = (1..9).map(|i| i as f64).collect();
-        let patched = sweep_patched(&base, xs.iter().copied(), |x, patch| {
-            patch.set_cost("c", Money::new(x))?;
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(xs.len(), patched.len());
-        for (&x, point) in xs.iter().zip(patched.iter()) {
-            let rebuilt = linear_flow(x).unwrap().analyze().unwrap();
-            assert_eq!(x, point.x);
-            assert_eq!(rebuilt.final_cost_per_shipped().units(), point.final_cost());
-        }
-    }
-
-    #[test]
-    fn patched_sweep_propagates_slot_errors() {
-        let base = linear_flow(1.0).unwrap();
-        let err = sweep_patched(&base, [1.0], |x, patch| {
-            patch.set_cost("ghost", Money::new(x))?;
-            Ok(())
-        })
-        .unwrap_err();
-        assert!(matches!(err, FlowError::UnknownPatchSlot { .. }));
-    }
 
     #[test]
     fn crossover_exact_grid_point() {

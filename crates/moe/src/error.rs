@@ -66,6 +66,14 @@ pub enum FlowError {
         /// The refused amount, as the op would have booked it.
         value: f64,
     },
+    /// The evaluated costs overflowed: the total spend, a category's
+    /// spend or the final cost per shipped unit is not finite, even
+    /// though every booked cost may be finite on its own (two costs
+    /// near `f64::MAX` sum past it).
+    NonFiniteCost {
+        /// Name of the flow.
+        flow: String,
+    },
     /// A nested line never produced a passing unit within the retry
     /// budget of the Monte Carlo engine.
     SubassemblyStarved {
@@ -130,6 +138,13 @@ impl fmt::Display for FlowError {
                     f,
                     "patch refused cost {value} on slot {slot:?}; \
                      costs must be finite and non-negative"
+                )
+            }
+            FlowError::NonFiniteCost { flow } => {
+                write!(
+                    f,
+                    "flow {flow:?} overflows: its total spend or final cost per shipped \
+                     unit is not finite"
                 )
             }
             FlowError::SubassemblyStarved { line, attempts } => {

@@ -112,8 +112,8 @@ impl Flow {
     ///
     /// # Errors
     ///
-    /// Returns [`FlowError`] if the line is structurally invalid or ships
-    /// nothing.
+    /// Returns [`FlowError`] if the line is structurally invalid, ships
+    /// nothing or its costs overflow.
     pub fn analyze(&self) -> Result<CostReport, FlowError> {
         analytic::analyze_program(self.program()?, self.nre, self.volume)
     }

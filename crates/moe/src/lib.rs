@@ -71,6 +71,7 @@
 mod analytic;
 mod compile;
 mod cost;
+mod crossover;
 mod diagnostics;
 mod dual;
 mod error;
@@ -84,7 +85,6 @@ mod patch;
 mod report;
 mod sensitivity;
 mod stage;
-mod sweep;
 mod verify;
 mod yield_model;
 
@@ -92,6 +92,7 @@ mod yield_model;
 pub use analytic::analyze_line_reference;
 pub use compile::SlotKind;
 pub use cost::{CostCategory, CostVector, StepCost};
+pub use crossover::{find_crossover, CrossoverError};
 pub use diagnostics::{Diagnostic, Diagnostics, Severity};
 pub use dual::{DualDirection, DualReport, Gradient};
 pub use error::FlowError;
@@ -106,10 +107,7 @@ pub use mc::{SimOptions, SimSummary, DEFAULT_LANE_WIDTH, DEFAULT_SUBASSEMBLY_RET
 pub use part::{AttachInput, Part};
 pub use patch::{CompiledFlow, FlowPatch, PatchDirective};
 pub use report::{CostBreakdownRow, CostReport};
-pub use sensitivity::{Tornado, TornadoDirection, TornadoPatch, TornadoRow};
+pub use sensitivity::{Tornado, TornadoDirection, TornadoRow};
 pub use stage::{Attach, FailAction, Process, Rework, Stage, Test};
-pub use sweep::{
-    find_crossover, sweep_patched, sweep_patched_with, sweep_series, CrossoverError, SweepPoint,
-};
 pub use verify::{CountInterval, Interval, StaticBounds};
 pub use yield_model::{DefectModel, YieldModel};

@@ -149,7 +149,7 @@ impl CompiledFlow {
     /// # Errors
     ///
     /// Returns [`FlowError::NothingShipped`] when the flow ships
-    /// nothing.
+    /// nothing and [`FlowError::NonFiniteCost`] when its costs overflow.
     pub fn analyze(&self) -> Result<CostReport, FlowError> {
         analytic::analyze_program(&self.program, self.nre, self.volume)
     }
@@ -215,8 +215,8 @@ impl CompiledFlow {
     ///
     /// Returns [`FlowError::UnknownPatchSlot`] /
     /// [`FlowError::AmbiguousPatchSlot`] for unresolvable direction
-    /// components and [`FlowError::NothingShipped`] when the flow ships
-    /// nothing.
+    /// components, [`FlowError::NothingShipped`] when the flow ships
+    /// nothing and [`FlowError::NonFiniteCost`] when its costs overflow.
     ///
     /// [`Gradient`]: crate::Gradient
     pub fn analyze_duals<'d>(
@@ -519,7 +519,8 @@ impl FlowPatch {
     /// # Errors
     ///
     /// Returns [`FlowError::NothingShipped`] when the patched flow
-    /// ships nothing.
+    /// ships nothing and [`FlowError::NonFiniteCost`] when its costs
+    /// overflow: costs each finite on their own can sum past `f64::MAX`.
     pub fn analyze(&self) -> Result<CostReport, FlowError> {
         let (entry, len) = self.program.top_region();
         analytic::analyze_ops(
@@ -722,6 +723,24 @@ mod tests {
             .unwrap();
         assert_eq!(patch.writes(), 2);
         assert!(!patch.lint().has_errors());
+    }
+
+    #[test]
+    fn costs_that_overflow_when_summed_are_refused() {
+        // Each write is finite and accepted, but together they book
+        // 2e308 per unit: the analysis refuses the overflow instead of
+        // returning a report whose scrap spend is ∞ − ∞.
+        let base = flow(10.0, 0.9).compiled().unwrap();
+        let mut patch = base.patch();
+        patch
+            .set_cost("c", Money::new(1e308))
+            .unwrap()
+            .set_cost("a/die", Money::new(5e307))
+            .unwrap();
+        assert_eq!(patch.writes(), 2);
+        let err = patch.analyze().unwrap_err();
+        assert_eq!(err, FlowError::NonFiniteCost { flow: "t".into() });
+        assert!(err.to_string().contains("\"t\""), "{err}");
     }
 
     #[test]

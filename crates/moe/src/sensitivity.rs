@@ -2,36 +2,21 @@
 //!
 //! The paper compares "the results for different cost and yield
 //! implications"; this module systematizes that: perturb each input to
-//! its low/high variant on the flow's compiled program, evaluate it
-//! analytically, and rank the inputs by their cost swing. A variant is
-//! either a [`FlowPatch`] that is re-evaluated
-//! ([`Tornado::evaluate_patches`]) or a derivative direction that one
-//! dual pass extrapolates ([`Tornado::evaluate_gradients`]);
-//! [`Tornado::from_rows`] mixes the two.
+//! its low/high variant on the flow's compiled program and rank the
+//! inputs by their cost swing. A row is either a derivative direction
+//! that one dual pass extrapolates ([`Tornado::evaluate_gradients`]) or
+//! a low/high [`FlowPatch`](crate::FlowPatch) pair the caller analyzes
+//! itself; [`Tornado::from_rows`] assembles the chart from either kind.
 
 use crate::dual::DualDirection;
 use crate::error::FlowError;
-use crate::patch::{CompiledFlow, FlowPatch};
-use ipass_sim::Executor;
+use crate::patch::CompiledFlow;
 use std::fmt;
 
-/// One input parameter as a pair of patches on a shared compiled
-/// program: the production line is compiled once and each variant
-/// overwrites a few parameter slots (see [`FlowPatch`]).
-#[derive(Debug)]
-pub struct TornadoPatch<'a> {
-    /// Parameter label.
-    pub name: &'a str,
-    /// The patch with the parameter at its low value.
-    pub low: FlowPatch,
-    /// The patch with the parameter at its high value.
-    pub high: FlowPatch,
-}
-
 /// One input parameter as a derivative direction plus its low/high
-/// deltas — the gradient form of [`TornadoPatch`]: the whole chart is
-/// one dual pass ([`CompiledFlow::analyze_duals`]) instead of `1 + 2·n`
-/// patched walks. Rows extrapolate `baseline + ∂cost/∂direction · Δ`;
+/// deltas: the whole chart is one dual pass
+/// ([`CompiledFlow::analyze_duals`]) instead of `1 + 2·n` patched
+/// walks. Rows extrapolate `baseline + ∂cost/∂direction · Δ`;
 /// for pure cost directions that extrapolation is *exact* (final cost
 /// is affine in every cost slot), elsewhere it is first-order.
 #[derive(Debug)]
@@ -73,49 +58,15 @@ pub struct Tornado {
 }
 
 impl Tornado {
-    /// Evaluate a tornado over patches of one shared compiled program:
-    /// the baseline is the unpatched program, each row a low/high
-    /// [`FlowPatch`] pair. Nothing is compiled — each variant is a
-    /// patched copy of the base op vector.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the baseline or any patched variant ships nothing.
-    pub fn evaluate_patches(
-        baseline: &CompiledFlow,
-        inputs: &[TornadoPatch<'_>],
-    ) -> Result<Tornado, FlowError> {
-        Tornado::evaluate_patches_with(&Executor::available(), baseline, inputs)
-    }
-
-    /// [`Tornado::evaluate_patches`] on an explicit executor; the
-    /// low/high variants are analyzed in parallel.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the baseline or any patched variant ships nothing.
-    pub fn evaluate_patches_with(
-        executor: &Executor,
-        baseline: &CompiledFlow,
-        inputs: &[TornadoPatch<'_>],
-    ) -> Result<Tornado, FlowError> {
-        let mut costs = vec![baseline.analyze()?.final_cost_per_shipped().units()];
-        let variants: Vec<&FlowPatch> = inputs.iter().flat_map(|i| [&i.low, &i.high]).collect();
-        costs.extend(executor.try_map(&variants, |_, patch| {
-            Ok::<f64, FlowError>(patch.analyze()?.final_cost_per_shipped().units())
-        })?);
-        Ok(Tornado::from_costs(&costs, inputs.iter().map(|i| i.name)))
-    }
-
     /// Evaluate a tornado in **one analytic pass**: the baseline walk
     /// carries one tangent lane per input, and each row is the
     /// gradient extrapolation `baseline + ∂cost/∂direction · Δ`.
     ///
     /// For rows whose direction touches only [`SlotKind::Cost`] slots
-    /// the extrapolated costs equal the re-evaluated
-    /// [`Tornado::evaluate_patches`] costs exactly (cohort masses are
-    /// cost-independent, so final cost is affine in every cost slot);
-    /// yield and coverage rows are first-order around the baseline.
+    /// the extrapolated costs equal the costs of the re-evaluated
+    /// patches exactly (cohort masses are cost-independent, so final
+    /// cost is affine in every cost slot); yield and coverage rows are
+    /// first-order around the baseline.
     ///
     /// # Errors
     ///
@@ -141,27 +92,13 @@ impl Tornado {
         Ok(Tornado::sorted(baseline_cost, rows))
     }
 
-    /// Assemble a chart from externally computed rows — for hybrid
-    /// evaluations that mix exact gradient extrapolations (cost rows)
-    /// with re-evaluated patches (large nonlinear steps), like
-    /// the GPS case study's sensitivity experiment. Rows are sorted by
-    /// decreasing swing like every other constructor.
+    /// Assemble a chart from rows the caller computed: re-evaluated
+    /// low/high patch pairs, gradient extrapolations, or a mix of both
+    /// (exact gradients for cost rows, patches for large nonlinear
+    /// steps), like the GPS case study's sensitivity experiment. Rows
+    /// are sorted by decreasing swing, as in
+    /// [`Tornado::evaluate_gradients`].
     pub fn from_rows(baseline_cost: f64, rows: Vec<TornadoRow>) -> Tornado {
-        Tornado::sorted(baseline_cost, rows)
-    }
-
-    /// Assemble the chart from the flat `[baseline, low₀, high₀, …]`
-    /// cost batch of [`Tornado::evaluate_patches_with`].
-    fn from_costs<'a>(costs: &[f64], names: impl Iterator<Item = &'a str>) -> Tornado {
-        let baseline_cost = costs[0];
-        let rows: Vec<TornadoRow> = names
-            .enumerate()
-            .map(|(i, name)| TornadoRow {
-                name: name.to_owned(),
-                low_cost: costs[1 + 2 * i],
-                high_cost: costs[2 + 2 * i],
-            })
-            .collect();
         Tornado::sorted(baseline_cost, rows)
     }
 
@@ -225,6 +162,7 @@ mod tests {
     use crate::flow::Flow;
     use crate::line::Line;
     use crate::part::Part;
+    use crate::patch::FlowPatch;
     use crate::stage::{Process, Test};
     use crate::yield_model::YieldModel;
     use ipass_units::{Money, Probability};
@@ -257,26 +195,53 @@ mod tests {
         patch
     }
 
-    /// Part cost ±10 % and process yield ±5 pts around `flow(10.0, 0.9)`.
-    fn two_inputs(base: &CompiledFlow) -> [TornadoPatch<'static>; 2] {
-        [
-            TornadoPatch {
-                name: "part cost ±10%",
-                low: variant(base, Some(9.0), None),
-                high: variant(base, Some(11.0), None),
-            },
-            TornadoPatch {
-                name: "process yield ±5pts",
-                low: variant(base, None, Some(0.85)),
-                high: variant(base, None, Some(0.95)),
-            },
+    /// Part cost ±10 % and process yield ±5 pts around `flow(10.0, 0.9)`,
+    /// as `(name, low, high)` patch pairs.
+    fn two_inputs(base: &CompiledFlow) -> Vec<(&'static str, FlowPatch, FlowPatch)> {
+        vec![
+            (
+                "part cost ±10%",
+                variant(base, Some(9.0), None),
+                variant(base, Some(11.0), None),
+            ),
+            (
+                "process yield ±5pts",
+                variant(base, None, Some(0.85)),
+                variant(base, None, Some(0.95)),
+            ),
         ]
+    }
+
+    /// The caller-side patched tornado: analyze the baseline and every
+    /// low/high pair, then assemble the chart with `from_rows`.
+    fn patched(base: &CompiledFlow, pairs: &[(&str, FlowPatch, FlowPatch)]) -> Tornado {
+        let cost = |patch: &FlowPatch| patch.analyze().unwrap().final_cost_per_shipped().units();
+        let rows = pairs
+            .iter()
+            .map(|(name, low, high)| TornadoRow {
+                name: (*name).to_owned(),
+                low_cost: cost(low),
+                high_cost: cost(high),
+            })
+            .collect();
+        Tornado::from_rows(
+            base.analyze().unwrap().final_cost_per_shipped().units(),
+            rows,
+        )
+    }
+
+    fn row(name: &str, low_cost: f64, high_cost: f64) -> TornadoRow {
+        TornadoRow {
+            name: name.to_owned(),
+            low_cost,
+            high_cost,
+        }
     }
 
     #[test]
     fn ranks_by_swing() {
         let base = flow(10.0, 0.9).compiled().unwrap();
-        let tornado = Tornado::evaluate_patches(&base, &two_inputs(&base)).unwrap();
+        let tornado = patched(&base, &two_inputs(&base));
         assert_eq!(tornado.rows().len(), 2);
         // Yield ±5 pts swings ~11 % of cost; part cost ±10 % swings ~20 %.
         assert_eq!(tornado.rows()[0].name, "part cost ±10%");
@@ -292,20 +257,20 @@ mod tests {
         let rebuilt = Tornado::from_rows(
             cost(flow(10.0, 0.9)),
             vec![
-                TornadoRow {
-                    name: "part cost ±10%".to_owned(),
-                    low_cost: cost(flow(9.0, 0.9)),
-                    high_cost: cost(flow(11.0, 0.9)),
-                },
-                TornadoRow {
-                    name: "process yield ±5pts".to_owned(),
-                    low_cost: cost(flow(10.0, 0.85)),
-                    high_cost: cost(flow(10.0, 0.95)),
-                },
+                row(
+                    "part cost ±10%",
+                    cost(flow(9.0, 0.9)),
+                    cost(flow(11.0, 0.9)),
+                ),
+                row(
+                    "process yield ±5pts",
+                    cost(flow(10.0, 0.85)),
+                    cost(flow(10.0, 0.95)),
+                ),
             ],
         );
         let base = flow(10.0, 0.9).compiled().unwrap();
-        let patched = Tornado::evaluate_patches(&base, &two_inputs(&base)).unwrap();
+        let patched = patched(&base, &two_inputs(&base));
         assert_eq!(rebuilt.baseline_cost(), patched.baseline_cost());
         assert_eq!(rebuilt.rows(), patched.rows());
     }
@@ -316,29 +281,24 @@ mod tests {
         // compare Equal to everything, so sort order depended on where
         // the NaN row sat in the input. `total_cmp` ranks NaN above all
         // finite swings, deterministically.
-        let costs = [
-            10.0, // baseline
-            9.0,
-            11.0, // "small": swing 2
-            f64::NAN,
-            11.0, // "poisoned": swing NaN
-            5.0,
-            15.0, // "big": swing 10
-        ];
-        let tornado = Tornado::from_costs(&costs, ["small", "poisoned", "big"].into_iter());
-        let order: Vec<&str> = tornado.rows().iter().map(|r| r.name.as_str()).collect();
-        assert_eq!(order, ["poisoned", "big", "small"]);
-        // Same rows, NaN listed last on input: same output order.
-        let costs = [10.0, 5.0, 15.0, 9.0, 11.0, f64::NAN, 11.0];
-        let tornado = Tornado::from_costs(&costs, ["big", "small", "poisoned"].into_iter());
-        let order: Vec<&str> = tornado.rows().iter().map(|r| r.name.as_str()).collect();
-        assert_eq!(order, ["poisoned", "big", "small"]);
+        let small = row("small", 9.0, 11.0); // swing 2
+        let poisoned = row("poisoned", f64::NAN, 11.0); // swing NaN
+        let big = row("big", 5.0, 15.0); // swing 10
+        for rows in [
+            vec![small.clone(), poisoned.clone(), big.clone()],
+            // Same rows, NaN listed last on input: same output order.
+            vec![big, small, poisoned],
+        ] {
+            let tornado = Tornado::from_rows(10.0, rows);
+            let order: Vec<&str> = tornado.rows().iter().map(|r| r.name.as_str()).collect();
+            assert_eq!(order, ["poisoned", "big", "small"]);
+        }
     }
 
     #[test]
     fn gradient_tornado_cross_checks_the_patched_path() {
         let base = flow(10.0, 0.9).compiled().unwrap();
-        let patched = Tornado::evaluate_patches(&base, &two_inputs(&base)).unwrap();
+        let patched = patched(&base, &two_inputs(&base));
         let gradient = Tornado::evaluate_gradients(
             &base,
             &[
@@ -379,15 +339,14 @@ mod tests {
     #[test]
     fn render_draws_bars() {
         let base = flow(10.0, 0.9).compiled().unwrap();
-        let tornado = Tornado::evaluate_patches(
+        let tornado = patched(
             &base,
-            &[TornadoPatch {
-                name: "x",
-                low: variant(&base, Some(8.0), None),
-                high: variant(&base, Some(12.0), None),
-            }],
-        )
-        .unwrap();
+            &[(
+                "x",
+                variant(&base, Some(8.0), None),
+                variant(&base, Some(12.0), None),
+            )],
+        );
         let text = tornado.render();
         assert!(text.contains("█") && text.contains("baseline"));
     }
@@ -395,8 +354,12 @@ mod tests {
     #[test]
     fn empty_inputs_is_just_the_baseline() {
         let base = flow(10.0, 0.9).compiled().unwrap();
-        let tornado = Tornado::evaluate_patches(&base, &[]).unwrap();
+        let tornado = Tornado::evaluate_gradients(&base, &[]).unwrap();
         assert!(tornado.rows().is_empty());
+        assert_eq!(
+            tornado.baseline_cost(),
+            base.analyze().unwrap().final_cost_per_shipped().units()
+        );
         assert!(tornado.baseline_cost() > 0.0);
     }
 }

@@ -314,15 +314,18 @@ mod tests {
         assert_eq!(json::string_field(err, "code"), Some("unknown-flow"));
         // An unknown slot, then costs the verifier would reject: scaled
         // below zero, set below zero, and scaled past f64::MAX (which
-        // used to panic inside the report).
-        for directive in [
+        // used to panic inside the report). Last, two costs that are
+        // each valid but overflow when summed (which also used to
+        // panic inside the report).
+        for directives in [
             r#"{"set":"cost","slot":"ghost","value":1}"#,
             r#"{"scale":"cost","slot":"c","factor":-1}"#,
             r#"{"set":"cost","slot":"c","value":-5}"#,
             r#"{"scale":"cost","slot":"c","factor":1e308}"#,
+            r#"{"set":"cost","slot":"c","value":1e308},{"set":"cost","slot":"ft","value":1e308}"#,
         ] {
             let resp = e.handle_line(&format!(
-                r#"{{"verb":"patch","flow":"demo","directives":[{directive}]}}"#
+                r#"{{"verb":"patch","flow":"demo","directives":[{directives}]}}"#
             ));
             let err = json::field_value(&resp, "error").unwrap_or_else(|| panic!("{resp}"));
             assert_eq!(

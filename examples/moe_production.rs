@@ -4,10 +4,13 @@
 //!
 //! Run with `cargo run --example moe_production`.
 
+use integrated_passives::explore::{
+    FlowAxis, FlowExplorer, Levels, Metric, Objective, SamplerSpec,
+};
 use integrated_passives::gps::experiments;
 use integrated_passives::moe::{
-    sweep_patched, Attach, CostCategory, FailAction, Flow, Line, Part, Process, Rework, SimOptions,
-    StepCost, Test, YieldModel,
+    Attach, CostCategory, FailAction, Flow, Line, Part, Process, Rework, SimOptions, StepCost,
+    Test, YieldModel,
 };
 use integrated_passives::units::{Money, Probability};
 
@@ -67,15 +70,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- NRE amortization: when does an IP mask set pay off? ------------
     println!("\n== NRE amortization (50 000-unit mask set) ==");
     let nre_flow = demo_flow()?.with_nre(Money::new(50_000.0));
-    let points = sweep_patched(&nre_flow, [1e3, 1e4, 1e5, 1e6], |volume, patch| {
-        patch.set_volume(volume as u64);
-        Ok(())
-    })?;
-    for pt in &points {
+    let sweep = FlowExplorer::new(nre_flow.compiled()?)
+        .axis(FlowAxis::volume(Levels::explicit([1e3, 1e4, 1e5, 1e6])))
+        .objective(Objective::minimize(Metric::FinalCostPerShipped))
+        .explore(&SamplerSpec::Grid)?;
+    for pt in &sweep.points {
         println!(
             "volume {:>9}: final cost/unit {:.2}",
-            pt.x as u64,
-            pt.final_cost()
+            pt.coords[0] as u64, pt.objectives[0]
         );
     }
     Ok(())

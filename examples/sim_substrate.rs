@@ -5,21 +5,14 @@
 //!
 //! Run with `cargo run --release --example sim_substrate`.
 
-use integrated_passives::core::{BuildUp, SelectionObjective};
-use integrated_passives::gps::{bom::gps_bom, table2::cost_inputs};
+use integrated_passives::gps::experiments;
 use integrated_passives::moe::{
     CostCategory, Flow, Line, Part, Process, SimOptions, StopRule, Test, YieldModel,
 };
 
 fn main() {
     // The paper's solution-2 production flow, simulated at 100k units.
-    let buildup = BuildUp::paper_solutions()[1];
-    let plan = buildup
-        .plan(&gps_bom(&buildup), SelectionObjective::MinArea)
-        .expect("solution 2 plans");
-    let flow = plan
-        .production_flow(plan.area().substrate_area, &cost_inputs(&buildup))
-        .expect("solution 2 builds a flow");
+    let (_, flow) = experiments::solution(1).expect("solution 2 builds a flow");
 
     println!("== determinism: seeded run across thread counts ==");
     let baseline = flow

@@ -117,7 +117,8 @@ fn smoke_test(registry: FlowRegistry) -> ExitCode {
         }
     };
     // (request, must-contain fragment) — one per verb, plus the typed
-    // errors for a refused cost and a malformed line.
+    // errors for a refused cost, a summed cost overflow and a
+    // malformed line.
     let checks: &[(&str, &str)] = &[
         (
             r#"{"verb":"list"}"#,
@@ -139,6 +140,11 @@ fn smoke_test(registry: FlowRegistry) -> ExitCode {
         // caught panic.
         (
             r#"{"verb":"patch","flow":"solution2","directives":[{"scale":"cost","slot":"functional test","factor":1e308}]}"#,
+            r#""code":"engine-error""#,
+        ),
+        // So do two costs that are each valid but overflow when summed.
+        (
+            r#"{"verb":"patch","flow":"solution2","directives":[{"set":"cost","slot":"functional test","value":1e308},{"set":"cost","slot":"wire bonding","value":1e308}]}"#,
             r#""code":"engine-error""#,
         ),
         ("definitely not json", r#""code":"malformed-json""#),
@@ -170,7 +176,7 @@ fn smoke_test(registry: FlowRegistry) -> ExitCode {
     }
     server.wait();
     eprintln!(
-        "info: smoke passed — all verbs answered, typed errors on a refused cost and malformed input, clean shutdown"
+        "info: smoke passed — all verbs answered, typed errors on a refused cost, a summed cost overflow and malformed input, clean shutdown"
     );
     ExitCode::SUCCESS
 }

@@ -1,17 +1,11 @@
 //! Cross-engine and reproducibility guarantees of the MOE cost model on
 //! the real GPS flows.
 
-use integrated_passives::core::{BuildUp, SelectionObjective};
-use integrated_passives::gps::{bom::gps_bom, table2::cost_inputs};
+use integrated_passives::gps::experiments;
 use integrated_passives::moe::{Flow, SimOptions};
 
 fn gps_flow(index: usize) -> Flow {
-    let buildup = BuildUp::paper_solutions()[index];
-    let plan = buildup
-        .plan(&gps_bom(&buildup), SelectionObjective::MinArea)
-        .unwrap();
-    plan.production_flow(plan.area().substrate_area, &cost_inputs(&buildup))
-        .unwrap()
+    experiments::solution(index).unwrap().1
 }
 
 #[test]

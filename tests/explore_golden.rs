@@ -3,25 +3,18 @@
 //! Carlo while reproducing the full-grid Pareto frontier exactly, and
 //! every result is bit-identical across executor thread counts.
 
-use integrated_passives::core::{BuildUp, SelectionObjective};
+use integrated_passives::core::BuildUpPlan;
 use integrated_passives::explore::{
     FlowAxis, FlowExplorer, Levels, Metric, Objective, RefineOptions, SamplerSpec,
 };
-use integrated_passives::gps::{bom::gps_bom, table2::cost_inputs};
+use integrated_passives::gps::{experiments, table2::cost_inputs};
 use integrated_passives::moe::{Executor, Flow};
 use integrated_passives::units::Probability;
 
 const SIDE: usize = 32;
 
-fn solution2() -> (integrated_passives::core::BuildUpPlan, Flow) {
-    let buildup = BuildUp::paper_solutions()[1];
-    let plan = buildup
-        .plan(&gps_bom(&buildup), SelectionObjective::MinArea)
-        .unwrap();
-    let flow = plan
-        .production_flow(plan.area().substrate_area, &cost_inputs(&buildup))
-        .unwrap();
-    (plan, flow)
+fn solution2() -> (BuildUpPlan, Flow) {
+    experiments::solution(1).unwrap()
 }
 
 fn explorer(flow: &Flow, executor: Executor) -> FlowExplorer {
@@ -44,7 +37,7 @@ fn explorer(flow: &Flow, executor: Executor) -> FlowExplorer {
 fn refiner_reproduces_the_full_grid_frontier_with_sparse_mc() {
     let (plan, flow) = solution2();
     let area = plan.area().substrate_area;
-    let base_card = cost_inputs(&BuildUp::paper_solutions()[1]);
+    let base_card = cost_inputs(plan.buildup());
 
     let explorer = explorer(&flow, Executor::new(4));
     // The reference: every grid point evaluated, frontier extracted.
@@ -104,7 +97,7 @@ fn refiner_reproduces_the_full_grid_frontier_with_sparse_mc() {
 fn golden_flow_exploration_is_bit_identical_across_thread_counts() {
     let (plan, flow) = solution2();
     let area = plan.area().substrate_area;
-    let base_card = cost_inputs(&BuildUp::paper_solutions()[1]);
+    let base_card = cost_inputs(plan.buildup());
     let refine = |threads: usize| {
         explorer(&flow, Executor::new(threads))
             .refine(

@@ -6,19 +6,12 @@
 //! every thread count — seeded results are part of the public contract,
 //! not an implementation detail.
 
-use ipass_core::{BuildUp, SelectionObjective};
-use ipass_gps::{bom::gps_bom, table2::cost_inputs};
-use ipass_moe::{
-    analyze_line_reference, simulate_line_reference, sweep_patched, CostCategory, Flow, SimOptions,
-};
+use ipass_explore::{FlowAxis, FlowExplorer, Levels, Metric, Objective, SamplerSpec};
+use ipass_gps::{experiments::solution, table2::cost_inputs};
+use ipass_moe::{analyze_line_reference, simulate_line_reference, CostCategory, Flow, SimOptions};
 
 fn solution2_flow() -> Flow {
-    let buildup = BuildUp::paper_solutions()[1];
-    let plan = buildup
-        .plan(&gps_bom(&buildup), SelectionObjective::MinArea)
-        .unwrap();
-    plan.production_flow(plan.area().substrate_area, &cost_inputs(&buildup))
-        .unwrap()
+    solution(1).unwrap().1
 }
 
 #[test]
@@ -129,28 +122,27 @@ fn analytic_ir_matches_line_oracle_on_solution2() {
 
 #[test]
 fn patched_sweep_matches_rebuilt_sweep_on_solution2() {
-    // The patched-program sweep (compile once, overwrite the carrier
-    // cost slot per point) must trace the same curve as rebuilding the
-    // production flow per point — the contract behind the
-    // `sweep_analytic` benchmark.
-    let buildup = BuildUp::paper_solutions()[1];
-    let plan = buildup
-        .plan(&gps_bom(&buildup), SelectionObjective::MinArea)
-        .unwrap();
+    // A one-axis exploration (compile once, overwrite the carrier cost
+    // slot per point) must trace the same curve as rebuilding the
+    // production flow per point.
+    let (plan, flow) = solution(1).unwrap();
     let area = plan.area().substrate_area;
-    let base_card = cost_inputs(&buildup);
-    let flow = solution2_flow();
+    let base_card = cost_inputs(plan.buildup());
     let carrier = flow.line().carrier().name().to_owned();
     let base_cost = flow.line().carrier().cost().total();
     let xs: Vec<f64> = (0..16).map(|i| 0.5 + i as f64 / 16.0).collect();
+    let costs: Vec<f64> = xs.iter().map(|&x| (base_cost * x).units()).collect();
 
-    let patched = sweep_patched(&flow, xs.iter().copied(), |x, patch| {
-        patch.set_cost(&carrier, base_cost * x)?;
-        Ok(())
-    })
-    .unwrap();
-    assert_eq!(xs.len(), patched.len());
-    for (&x, b) in xs.iter().zip(patched.iter()) {
+    let sweep = FlowExplorer::new(flow.compiled().unwrap())
+        .axis(FlowAxis::unit_cost(
+            &carrier,
+            Levels::explicit(costs.clone()),
+        ))
+        .objective(Objective::minimize(Metric::FinalCostPerShipped))
+        .explore(&SamplerSpec::Grid)
+        .unwrap();
+    assert_eq!(xs.len(), sweep.points.len());
+    for ((&x, &cost), point) in xs.iter().zip(&costs).zip(&sweep.points) {
         let mut card = base_card.clone();
         card.substrate_cost_per_cm2 = card.substrate_cost_per_cm2 * x;
         let rebuilt = plan
@@ -158,8 +150,11 @@ fn patched_sweep_matches_rebuilt_sweep_on_solution2() {
             .unwrap()
             .analyze()
             .unwrap();
-        assert_eq!(x, b.x);
-        let (ca, cb) = (rebuilt.final_cost_per_shipped().units(), b.final_cost());
+        assert_eq!(point.coords, [cost]);
+        let (ca, cb) = (
+            rebuilt.final_cost_per_shipped().units(),
+            point.objectives[0],
+        );
         assert!(
             (ca - cb).abs() <= 1e-12 * ca.abs().max(1.0),
             "x = {x}: rebuilt {ca} vs patched {cb}"
