@@ -145,7 +145,7 @@ where
             objectives: values,
         })
     })?;
-    let frontier = ParetoFrontier::extract(senses.clone(), points.iter().cloned());
+    let frontier = ParetoFrontier::of_points(senses.clone(), &points);
     Ok(Exploration {
         axes: axes.iter().map(|a| a.name.clone()).collect(),
         objectives: names,

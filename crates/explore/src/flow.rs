@@ -3,8 +3,8 @@
 //! A [`FlowAxis`] binds a generic [`Axis`] to a patch slot of the
 //! compiled program (or to the amortization volume, or to a custom
 //! patch procedure); a [`Metric`] reads one objective value off a
-//! [`CostReport`]. The explorer then drives the pipeline the paper's
-//! scenario questions ask for:
+//! report's [`CostFigures`]. The explorer then drives the pipeline the
+//! paper's scenario questions ask for:
 //!
 //! 1. **sample** the axes (grid / random / Latin hypercube),
 //! 2. **screen** every point analytically — a [`FlowPatch`] per point,
@@ -23,7 +23,7 @@ use crate::error::ExploreError;
 use crate::pareto::{dominates, DesignPoint, ParetoFrontier, Sense};
 use crate::sample::SamplerSpec;
 use crate::space::{Axis, Levels};
-use ipass_moe::{CompiledFlow, CostReport, Flow, FlowError, FlowPatch, SimOptions, StopRule};
+use ipass_moe::{CompiledFlow, CostFigures, Flow, FlowError, FlowPatch, SimOptions, StopRule};
 use ipass_obs::{ExploreStats, Probe, Profiler, RunStats};
 use ipass_sim::{Executor, SimRng};
 use ipass_units::{Money, Probability};
@@ -204,8 +204,11 @@ impl FlowAxis {
     }
 }
 
-/// A scalar read off a [`CostReport`] — the objective vocabulary of the
-/// flow explorer.
+/// A scalar read off a report's [`CostFigures`] — the objective
+/// vocabulary of the flow explorer. A [`CostReport`] derefs to its
+/// figures, so `metric.of(&report)` reads the same value.
+///
+/// [`CostReport`]: ipass_moe::CostReport
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Metric {
     /// The paper's Eq. 1: final cost per shipped unit.
@@ -223,15 +226,15 @@ pub enum Metric {
 }
 
 impl Metric {
-    /// Read the metric off a report.
-    pub fn of(self, report: &CostReport) -> f64 {
+    /// Read the metric off a report's figures.
+    pub fn of(self, figures: &CostFigures) -> f64 {
         match self {
-            Metric::FinalCostPerShipped => report.final_cost_per_shipped().units(),
-            Metric::DirectCostPerShipped => report.direct_cost_per_shipped().units(),
-            Metric::YieldLossPerShipped => report.yield_loss_per_shipped().units(),
-            Metric::TotalSpend => report.total_spend().units(),
-            Metric::ShippedFraction => report.shipped_fraction(),
-            Metric::EscapeRate => report.escape_rate(),
+            Metric::FinalCostPerShipped => figures.final_cost_per_shipped().units(),
+            Metric::DirectCostPerShipped => figures.direct_cost_per_shipped().units(),
+            Metric::YieldLossPerShipped => figures.yield_loss_per_shipped().units(),
+            Metric::TotalSpend => figures.total_spend().units(),
+            Metric::ShippedFraction => figures.shipped_fraction(),
+            Metric::EscapeRate => figures.escape_rate(),
         }
     }
 
@@ -479,9 +482,8 @@ pub struct FlowExplorer {
     objectives: Vec<Objective>,
     executor: Executor,
     /// Patch-slot writes applied by every screening pass on this
-    /// explorer (shared across clones). A relaxed `u64` sum is
-    /// order-independent, so the count stays deterministic under any
-    /// thread count.
+    /// explorer (shared across clones). Each screen counts its own
+    /// writes and adds them here once, when it ends.
     patch_writes: Arc<AtomicU64>,
     profiler: Option<Profiler>,
 }
@@ -558,36 +560,59 @@ impl FlowExplorer {
             .collect()
     }
 
-    /// Patch one point's coordinates into a fresh copy of the compiled
-    /// program, counting the slot writes it took.
-    fn patch_point(&self, coords: &[f64]) -> Result<FlowPatch, FlowError> {
-        let mut patch = self.compiled.patch();
-        for (axis, &x) in self.axes.iter().zip(coords) {
-            axis.apply(x, &mut patch)?;
-        }
-        self.patch_writes
-            .fetch_add(patch.writes(), Ordering::Relaxed);
-        Ok(patch)
-    }
-
     /// Total patch-slot writes screening passes have applied on this
     /// explorer (and its clones) so far.
     pub fn patch_writes(&self) -> u64 {
         self.patch_writes.load(Ordering::Relaxed)
     }
 
-    fn measure(&self, report: &CostReport) -> Vec<f64> {
+    fn measure(&self, figures: &CostFigures) -> Vec<f64> {
         self.objectives
             .iter()
-            .map(|o| o.metric.of(report))
+            .map(|o| o.metric.of(figures))
             .collect()
     }
 
-    /// The screen's evaluator: one patched cohort walk per point, never
-    /// a rebuilt flow.
-    fn screen_point(&self, coords: &[f64]) -> Result<Vec<f64>, ExploreError> {
-        let report = self.patch_point(coords)?.analyze()?;
-        Ok(self.measure(&report))
+    /// Run one screening pass: `run` gets the evaluator, one patched
+    /// cohort walk per point (never a rebuilt flow) read through
+    /// [`FlowPatch::figures`], so no point builds a report's labels.
+    /// Returns `run`'s answer and the slot writes this pass applied,
+    /// which are also added to [`FlowExplorer::patch_writes`]. The count
+    /// is this pass's own, whatever other clones screen meanwhile; a
+    /// relaxed `u64` sum is order-independent, so it stays deterministic
+    /// under any thread count.
+    fn screen<T>(
+        &self,
+        run: impl FnOnce(&(dyn Fn(usize, &[f64]) -> Result<Vec<f64>, ExploreError> + Sync)) -> T,
+    ) -> (T, u64) {
+        let writes = AtomicU64::new(0);
+        let answer = run(&|_, coords| {
+            let mut patch = self.compiled.patch();
+            for (axis, &x) in self.axes.iter().zip(coords) {
+                axis.apply(x, &mut patch)?;
+            }
+            writes.fetch_add(patch.writes(), Ordering::Relaxed);
+            Ok(self.measure(&patch.figures()?))
+        });
+        let writes = writes.into_inner();
+        self.patch_writes.fetch_add(writes, Ordering::Relaxed);
+        (answer, writes)
+    }
+
+    /// [`FlowExplorer::explore`] without its span, plus the slot writes
+    /// of its screen.
+    fn explore_counted(&self, sampler: &SamplerSpec) -> Result<(Exploration, u64), ExploreError> {
+        self.validate()?;
+        let (screen, writes) = self.screen(|eval| {
+            explore_fn(
+                &self.executor,
+                &self.generic_axes(),
+                sampler,
+                &self.objective_specs(),
+                eval,
+            )
+        });
+        Ok((screen?, writes))
     }
 
     /// Sample and analytically evaluate every point, returning the full
@@ -601,14 +626,7 @@ impl FlowExplorer {
     /// point order).
     pub fn explore(&self, sampler: &SamplerSpec) -> Result<Exploration, ExploreError> {
         let _span = self.profiler.as_ref().map(|p| p.span("screen"));
-        self.validate()?;
-        explore_fn(
-            &self.executor,
-            &self.generic_axes(),
-            sampler,
-            &self.objective_specs(),
-            |_, coords| self.screen_point(coords),
-        )
+        self.explore_counted(sampler).map(|(screen, _)| screen)
     }
 
     /// Reduce straight to the Pareto frontier without retaining the
@@ -621,13 +639,16 @@ impl FlowExplorer {
     pub fn screen_frontier(&self, sampler: &SamplerSpec) -> Result<ParetoFrontier, ExploreError> {
         let _span = self.profiler.as_ref().map(|p| p.span("screen"));
         self.validate()?;
-        frontier_fn(
-            &self.executor,
-            &self.generic_axes(),
-            sampler,
-            &self.objective_specs(),
-            |_, coords| self.screen_point(coords),
-        )
+        self.screen(|eval| {
+            frontier_fn(
+                &self.executor,
+                &self.generic_axes(),
+                sampler,
+                &self.objective_specs(),
+                eval,
+            )
+        })
+        .0
     }
 
     /// Adaptive refinement: screen every point analytically, prune
@@ -656,13 +677,14 @@ impl FlowExplorer {
     where
         B: Fn(&[f64]) -> Result<Flow, FlowError> + Sync,
     {
-        let writes_before = self.patch_writes.load(Ordering::Relaxed);
-        let screen = self.explore(sampler)?;
+        let (screen, patch_writes) = {
+            let _span = self.profiler.as_ref().map(|p| p.span("screen"));
+            self.explore_counted(sampler)?
+        };
         let promoted = {
             let _span = self.profiler.as_ref().map(|p| p.span("promote"));
             promote(&screen, options.margin)
         };
-        let patch_writes = self.patch_writes.load(Ordering::Relaxed) - writes_before;
         let _span = self.profiler.as_ref().map(|p| p.span("confirm"));
         let confirmations = self.executor.try_map(&promoted, |_, &i| {
             let point = &screen.points[i];
@@ -705,61 +727,142 @@ impl FlowExplorer {
 /// always a frontier superset, and `margin = 0` promotes exactly the
 /// frontier.
 ///
-/// Only frontier members are tried as pruners: O(points × frontier)
-/// instead of O(points²), for the same set. If q ε-dominates p, some
-/// member f equals or dominates q (the frontier keeps exact ties), so f
+/// Only frontier members are tried as pruners, for the same set as
+/// trying every screened point. If q ε-dominates p, some member f
+/// equals or dominates q (the frontier keeps exact ties), so f
 /// dominates p; and `norm` is a chain of correctly rounded subtractions
 /// and divisions, hence monotone, so `norm(f, j) ≤ norm(q, j)` and f
 /// ε-dominates p too. Members are screened points, so the scan never
 /// prunes a point the all-pairs scan keeps.
 ///
+/// Of the members, only a prefix is scanned. They are sorted by
+/// normalized objective 0, and each point binary-searches the exact
+/// test `norm(p, 0) − norm(q, 0) ≥ margin`: a correctly rounded
+/// subtraction is monotone in `norm(q, 0)`, so the members that pass it
+/// are a prefix, and no member past it can prune the point. Where
+/// objective 0 is constant, or a member's normalized objective 0 is
+/// NaN, every member is scanned.
+///
 /// Caveat: when an objective is ±∞, or its `hi − lo` overflows, `norm`
 /// yields NaN and the monotone step fails. The all-pairs answer then
-/// rests on NaN comparisons, and the frontier scan promotes a superset
+/// rests on NaN comparisons, and the member scan promotes a superset
 /// of it, never fewer points.
 fn promote(screen: &Exploration, margin: f64) -> Vec<usize> {
-    promote_against(screen, margin, screen.frontier.members())
-}
-
-/// [`promote`] with the candidate pruners given: the points tried as
-/// ε-dominators of every screened point.
-fn promote_against(screen: &Exploration, margin: f64, pruners: &[DesignPoint]) -> Vec<usize> {
-    let k = screen.senses.len();
-    let n = screen.points.len();
-    // Min-max normalization, flipped so every objective minimizes;
-    // (near-)constant objectives carry no distance information and are
-    // excluded from the margin test.
-    let mut lo = vec![f64::INFINITY; k];
-    let mut hi = vec![f64::NEG_INFINITY; k];
-    for p in &screen.points {
-        for (j, &v) in p.objectives.iter().enumerate() {
-            lo[j] = lo[j].min(v);
-            hi[j] = hi[j].max(v);
-        }
+    let scale = Normalized::of(screen);
+    let members = screen.frontier.members();
+    let mut by_first: Vec<(f64, &DesignPoint)> =
+        members.iter().map(|q| (scale.norm(q, 0), q)).collect();
+    if !scale.live.first().copied().unwrap_or(false) || by_first.iter().any(|(v, _)| v.is_nan()) {
+        return promote_against(screen, margin, members);
     }
-    let range: Vec<f64> = lo.iter().zip(&hi).map(|(l, h)| h - l).collect();
-    let live: Vec<bool> = range
-        .iter()
-        .zip(&lo)
-        .map(|(r, l)| *r > 1e-12 * l.abs().max(1.0))
-        .collect();
-    let norm = |p: &DesignPoint, j: usize| {
-        let u = (p.objectives[j] - lo[j]) / range[j];
-        match screen.senses[j] {
-            Sense::Minimize => u,
-            Sense::Maximize => 1.0 - u,
-        }
-    };
-    (0..n)
+    by_first.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let k = screen.senses.len();
+    let norms = scale.flat(by_first.iter().map(|&(_, q)| q));
+    let mut pn = vec![0.0; k];
+    (0..screen.points.len())
         .filter(|&i| {
             let p = &screen.points[i];
-            !pruners.iter().any(|q| {
-                q.index != p.index
-                    && dominates(&q.objectives, &p.objectives, &screen.senses)
-                    && (0..k).all(|j| !live[j] || norm(p, j) - norm(q, j) >= margin)
+            scale.write(p, &mut pn);
+            let cut = by_first.partition_point(|(first, _)| pn[0] - first >= margin);
+            // Nearest first: the last member of the prefix is the likeliest
+            // pruner.
+            !(0..cut).rev().any(|s| {
+                let q = (by_first[s].1, &norms[s * k..(s + 1) * k]);
+                scale.prunes(margin, q, (p, &pn))
             })
         })
         .collect()
+}
+
+/// Every screened point that no point of `pruners`, tried one by one,
+/// ε-dominates (see [`promote`]).
+fn promote_against(screen: &Exploration, margin: f64, pruners: &[DesignPoint]) -> Vec<usize> {
+    let scale = Normalized::of(screen);
+    let k = screen.senses.len();
+    let norms = scale.flat(pruners);
+    let mut pn = vec![0.0; k];
+    (0..screen.points.len())
+        .filter(|&i| {
+            let p = &screen.points[i];
+            scale.write(p, &mut pn);
+            !pruners
+                .iter()
+                .enumerate()
+                .any(|(s, q)| scale.prunes(margin, (q, &norms[s * k..(s + 1) * k]), (p, &pn)))
+        })
+        .collect()
+}
+
+/// Min-max normalization of a screen's objectives, flipped so every
+/// objective minimizes; (near-)constant objectives carry no distance
+/// information and are excluded from the margin test.
+struct Normalized<'a> {
+    senses: &'a [Sense],
+    lo: Vec<f64>,
+    range: Vec<f64>,
+    live: Vec<bool>,
+}
+
+impl Normalized<'_> {
+    fn of(screen: &Exploration) -> Normalized<'_> {
+        let k = screen.senses.len();
+        let mut lo = vec![f64::INFINITY; k];
+        let mut hi = vec![f64::NEG_INFINITY; k];
+        for p in &screen.points {
+            for (j, &v) in p.objectives.iter().enumerate() {
+                lo[j] = lo[j].min(v);
+                hi[j] = hi[j].max(v);
+            }
+        }
+        let range: Vec<f64> = lo.iter().zip(&hi).map(|(l, h)| h - l).collect();
+        let live = range
+            .iter()
+            .zip(&lo)
+            .map(|(r, l)| *r > 1e-12 * l.abs().max(1.0))
+            .collect();
+        Normalized {
+            senses: &screen.senses,
+            lo,
+            range,
+            live,
+        }
+    }
+
+    fn norm(&self, p: &DesignPoint, j: usize) -> f64 {
+        let u = (p.objectives[j] - self.lo[j]) / self.range[j];
+        match self.senses[j] {
+            Sense::Minimize => u,
+            Sense::Maximize => 1.0 - u,
+        }
+    }
+
+    /// Write `p`'s normalized objectives into `out`.
+    fn write(&self, p: &DesignPoint, out: &mut [f64]) {
+        for (j, v) in out.iter_mut().enumerate() {
+            *v = self.norm(p, j);
+        }
+    }
+
+    /// The normalized objectives of `points`, one point after another.
+    fn flat<'p>(&self, points: impl IntoIterator<Item = &'p DesignPoint>) -> Vec<f64> {
+        points
+            .into_iter()
+            .flat_map(|p| (0..self.senses.len()).map(move |j| self.norm(p, j)))
+            .collect()
+    }
+
+    /// Whether `q` ε-dominates `p`, each given with its normalized
+    /// objectives.
+    fn prunes(
+        &self,
+        margin: f64,
+        (q, qn): (&DesignPoint, &[f64]),
+        (p, pn): (&DesignPoint, &[f64]),
+    ) -> bool {
+        q.index != p.index
+            && (0..qn.len()).all(|j| !self.live[j] || pn[j] - qn[j] >= margin)
+            && dominates(&q.objectives, &p.objectives, self.senses)
+    }
 }
 
 #[cfg(test)]
@@ -980,6 +1083,59 @@ mod tests {
         assert_eq!(stats.units, 0);
         assert_eq!(stats.explore.screened, 64);
         assert_eq!(stats.patch_writes, 2 * 64);
+    }
+
+    #[test]
+    fn concurrent_clones_do_not_leak_into_each_others_write_counts() {
+        // Clones share the cumulative counter; each refinement must
+        // still report only its own screen's writes.
+        const SIDE: usize = 32;
+        const RUNS: usize = 20;
+        let explorer = FlowExplorer::new(flow(2.0, 0.95).compiled().unwrap())
+            .axis(FlowAxis::cost_scale(
+                "board",
+                Levels::linspace(0.5, 1.5, SIDE),
+            ))
+            .axis(FlowAxis::coverage(
+                "test",
+                Levels::linspace(0.9, 0.999, SIDE),
+            ))
+            .objective(Objective::minimize(Metric::FinalCostPerShipped))
+            .objective(Objective::minimize(Metric::EscapeRate))
+            .with_executor(Executor::serial());
+        let options = RefineOptions {
+            mc_units: 200,
+            ..RefineOptions::default()
+        };
+        let start = std::sync::Barrier::new(2);
+        let counts: Vec<u64> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    let explorer = explorer.clone();
+                    let (start, options) = (&start, &options);
+                    scope.spawn(move || {
+                        start.wait();
+                        (0..RUNS)
+                            .map(|_| {
+                                explorer
+                                    .refine(&SamplerSpec::Grid, options, |c| {
+                                        Ok(flow(2.0 * c[0], c[1]))
+                                    })
+                                    .unwrap()
+                                    .patch_writes
+                            })
+                            .collect::<Vec<u64>>()
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("refining thread panicked"))
+                .collect()
+        });
+        let per_screen = (2 * SIDE * SIDE) as u64;
+        assert_eq!(counts, vec![per_screen; 2 * RUNS]);
+        assert_eq!(explorer.patch_writes(), per_screen * 2 * RUNS as u64);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Multi-objective dominance and Pareto-frontier extraction.
 
 use crate::error::ExploreError;
+use std::cmp::Reverse;
 
 /// The direction in which an objective improves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,16 +85,41 @@ impl ParetoFrontier {
         }
     }
 
-    /// The frontier of a point set.
+    /// The frontier of a point set: every point no other point
+    /// dominates, sorted by index.
+    ///
+    /// One sort and one sweep. The points are sorted by their objective
+    /// values, negated where an objective is maximized, compared
+    /// lexicographically. A point sorts after every point that dominates
+    /// it, so the sweep tests each point only against the members found
+    /// before it and never evicts one. The answer is the insertion
+    /// fold's ([`ParetoFrontier::insert`] once per point), which a point
+    /// with a NaN objective still takes: NaN makes dominance
+    /// intransitive, and there the fold's answer depends on the order.
     pub fn extract(
         senses: Vec<Sense>,
         points: impl IntoIterator<Item = DesignPoint>,
     ) -> ParetoFrontier {
-        let mut frontier = ParetoFrontier::new(senses);
-        for p in points {
-            frontier.insert(p);
+        let points: Vec<DesignPoint> = points.into_iter().collect();
+        ParetoFrontier::of_points(senses, &points)
+    }
+
+    /// [`ParetoFrontier::extract`] over borrowed points, cloning only the
+    /// members.
+    pub(crate) fn of_points(senses: Vec<Sense>, points: &[DesignPoint]) -> ParetoFrontier {
+        match sweep(&senses, points) {
+            Some(at) => ParetoFrontier {
+                members: at.into_iter().map(|i| points[i].clone()).collect(),
+                senses,
+            },
+            None => {
+                let mut frontier = ParetoFrontier::new(senses);
+                for p in points {
+                    frontier.insert(p.clone());
+                }
+                frontier
+            }
         }
-        frontier
     }
 
     /// Offer one point: evicts members it dominates, joins unless a
@@ -178,6 +204,71 @@ impl ParetoFrontier {
             right_surviving: surviving(&other.members, &self.members),
         })
     }
+}
+
+/// The positions of the frontier members of `points`, in the order the
+/// insertion fold leaves them: by index, and among equal indices the
+/// later input first. `None` when a point has a NaN objective or the
+/// wrong arity, which the fold handles (or rejects) itself.
+fn sweep(senses: &[Sense], points: &[DesignPoint]) -> Option<Vec<usize>> {
+    let k = senses.len();
+    // Every objective minimized, as an integer in IEEE order: negation
+    // is exact, so `a > b` exactly when `-a < -b`, and dominance reads
+    // the same on the keys.
+    let mut keys = Vec::with_capacity(points.len() * k);
+    for p in points {
+        if p.objectives.len() != k || p.objectives.iter().any(|v| v.is_nan()) {
+            return None;
+        }
+        keys.extend(p.objectives.iter().zip(senses).map(|(&v, s)| match s {
+            Sense::Minimize => ordered(v),
+            Sense::Maximize => ordered(-v),
+        }));
+    }
+    let key = |i: usize| &keys[i * k..(i + 1) * k];
+    // Lexicographic order, the first key held inline: a dominator is ≤
+    // in every key and < in one, hence sorts strictly first.
+    let mut order: Vec<(u64, usize)> = (0..points.len())
+        .map(|i| (key(i).first().copied().unwrap_or(0), i))
+        .collect();
+    order.sort_unstable_by(|&(a0, a), &(b0, b)| a0.cmp(&b0).then_with(|| key(a).cmp(key(b))));
+    let mut members: Vec<usize> = Vec::new();
+    for (_, i) in order {
+        // Newest members first: the closest in sort order is the likeliest
+        // dominator.
+        let p = key(i);
+        if !members.iter().rev().any(|&m| keys_dominate(key(m), p)) {
+            members.push(i);
+        }
+    }
+    members.sort_unstable_by_key(|&i| (points[i].index, Reverse(i)));
+    Some(members)
+}
+
+/// `v`'s place in IEEE order as an integer, with −0 and 0 one value (as
+/// `<` has them): `a < b` exactly when `ordered(a) < ordered(b)`, for
+/// every `a` and `b` but NaN.
+fn ordered(v: f64) -> u64 {
+    let bits = (v + 0.0).to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// [`dominates`] on [`ordered`] minimized keys.
+fn keys_dominate(a: &[u64], b: &[u64]) -> bool {
+    let mut strictly = false;
+    for (&va, &vb) in a.iter().zip(b) {
+        if vb < va {
+            return false;
+        }
+        if va < vb {
+            strictly = true;
+        }
+    }
+    strictly
 }
 
 /// The outcome of [`ParetoFrontier::diff`]: which members of each

@@ -34,6 +34,7 @@ use crate::error::FlowError;
 use crate::labels::{self, InputLabels, LineLabels, StageLabels};
 use crate::line::Line;
 use crate::part::AttachInput;
+use crate::report::{CostFigures, CostReport};
 use crate::stage::{FailAction, Stage};
 use ipass_units::Money;
 
@@ -129,24 +130,24 @@ struct LineOutcome<S = f64> {
     by_cat: [S; NCAT],
 }
 
-/// Assemble the [`CostReport`](crate::report::CostReport) from a
-/// per-started-unit outcome (shared by the IR walker, patched programs,
-/// dual passes and the `Line`-walking oracle, so their outputs are
-/// built identically).
+/// The [`CostFigures`] of a per-started-unit outcome (shared by the IR
+/// walker, patched programs, dual passes and the `Line`-walking oracle,
+/// so their numbers are built identically).
 ///
-/// Costs that are each finite can still overflow when summed. A total
-/// spend or category spend that is not finite is refused with
-/// [`FlowError::NonFiniteCost`] before it reaches [`Money::new`], which
-/// panics on NaN; so is a final cost per shipped unit that is not
-/// finite.
-fn report_from(
+/// A flow that ships at most 1e-12 of a started unit is refused with
+/// [`FlowError::NothingShipped`]. Costs that are each finite can still
+/// overflow when summed. A total spend or category spend that is not
+/// finite is refused with [`FlowError::NonFiniteCost`] before it reaches
+/// [`Money::new`], which panics on NaN; so is a final cost per shipped
+/// unit that is not finite. `line_name` is read only to name the flow
+/// in these errors.
+fn figures_from(
     line_name: &str,
-    names: &[String],
     outcome: &LineOutcome,
     acc: &Acc,
     nre: Money,
     volume: u64,
-) -> Result<crate::report::CostReport, FlowError> {
+) -> Result<CostFigures, FlowError> {
     if outcome.shipped <= 1e-12 {
         return Err(FlowError::NothingShipped {
             flow: line_name.to_owned(),
@@ -164,8 +165,7 @@ fn report_from(
     for cat in CostCategory::ALL {
         by_category.book(cat, Money::new(by_cat[cat.index()]));
     }
-    let report = crate::report::CostReport::from_parts(
-        line_name.to_owned(),
+    let figures = CostFigures::from_parts(
         1.0,
         outcome.shipped,
         outcome.good,
@@ -174,12 +174,29 @@ fn report_from(
         by_category,
         nre,
         volume,
-        labels::pareto(names, &acc.defects, 1.0),
     );
-    if !report.final_cost_per_shipped().units().is_finite() {
+    if !figures.final_cost_per_shipped().units().is_finite() {
         return Err(overflow());
     }
-    Ok(report)
+    Ok(figures)
+}
+
+/// Assemble the [`CostReport`] from a per-started-unit outcome: its
+/// [`figures_from`] plus the flow's name and defect pareto.
+fn report_from(
+    line_name: &str,
+    names: &[String],
+    outcome: &LineOutcome,
+    acc: &Acc,
+    nre: Money,
+    volume: u64,
+) -> Result<CostReport, FlowError> {
+    let figures = figures_from(line_name, outcome, acc, nre, volume)?;
+    Ok(CostReport::from_parts(
+        line_name.to_owned(),
+        figures,
+        labels::pareto(names, &acc.defects, 1.0),
+    ))
 }
 
 /// Evaluate a compiled program analytically (the production path behind
@@ -188,7 +205,7 @@ pub(crate) fn analyze_program(
     program: &RoutingProgram,
     nre: Money,
     volume: u64,
-) -> Result<crate::report::CostReport, FlowError> {
+) -> Result<CostReport, FlowError> {
     let (entry, len) = program.top_region();
     analyze_ops(
         program.ops(),
@@ -212,9 +229,25 @@ pub(crate) fn analyze_ops(
     line_name: &str,
     nre: Money,
     volume: u64,
-) -> Result<crate::report::CostReport, FlowError> {
+) -> Result<CostReport, FlowError> {
     let (outcome, acc) = eval_region(ops, entry, len, names.len(), &NoSeeds);
     report_from(line_name, names, &outcome, &acc, nre, volume)
+}
+
+/// [`analyze_ops`] without the labels: the same walk, stopped at the
+/// [`CostFigures`], so no name is formatted or cloned and no pareto is
+/// sorted.
+pub(crate) fn figures_of_ops(
+    ops: &[Op],
+    entry: u32,
+    len: u32,
+    n_labels: usize,
+    line_name: &str,
+    nre: Money,
+    volume: u64,
+) -> Result<CostFigures, FlowError> {
+    let (outcome, acc) = eval_region(ops, entry, len, n_labels, &NoSeeds);
+    figures_from(line_name, &outcome, &acc, nre, volume)
 }
 
 /// Propagate one unit of cohort mass through a region of the op vector;
@@ -559,7 +592,7 @@ fn duals_chunk<const K: usize>(
     nre: Money,
     volume: u64,
     (directions, start, count): (&FoldedDirections, usize, usize),
-) -> Result<(crate::report::CostReport, Vec<Gradient>), FlowError> {
+) -> Result<(CostReport, Vec<Gradient>), FlowError> {
     debug_assert!(count <= K);
     let mut seeds = SeedTable::<K>::new(ops.len());
     for lane in 0..count {
@@ -637,7 +670,7 @@ pub fn analyze_line_reference(
     line: &Line,
     nre: Money,
     volume: u64,
-) -> Result<crate::report::CostReport, FlowError> {
+) -> Result<CostReport, FlowError> {
     line.validate()?;
     let mut names = Vec::new();
     let line_labels = labels::index_line(line, "", &mut names);
@@ -860,11 +893,7 @@ mod tests {
     /// Evaluate through the production IR path *and* the object-graph
     /// oracle, assert they agree to 1e-12, and return the IR report —
     /// every unit test below therefore exercises both engines.
-    fn analyze_line(
-        line: &Line,
-        nre: Money,
-        volume: u64,
-    ) -> Result<crate::report::CostReport, FlowError> {
+    fn analyze_line(line: &Line, nre: Money, volume: u64) -> Result<CostReport, FlowError> {
         let oracle = analyze_line_reference(line, nre, volume);
         let ir = line
             .validate()

@@ -106,7 +106,7 @@ pub use mc::simulate_line_reference;
 pub use mc::{SimOptions, SimSummary, DEFAULT_LANE_WIDTH, DEFAULT_SUBASSEMBLY_RETRY_BUDGET};
 pub use part::{AttachInput, Part};
 pub use patch::{CompiledFlow, FlowPatch, PatchDirective};
-pub use report::{CostBreakdownRow, CostReport};
+pub use report::{CostBreakdownRow, CostFigures, CostReport};
 pub use sensitivity::{Tornado, TornadoDirection, TornadoRow};
 pub use stage::{Attach, FailAction, Process, Rework, Stage, Test};
 pub use verify::{CountInterval, Interval, StaticBounds};

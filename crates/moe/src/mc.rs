@@ -25,6 +25,7 @@ use crate::labels::{self, InputLabels, LineLabels, StageLabels};
 use crate::lane::LaneSampler;
 use crate::line::Line;
 use crate::part::AttachInput;
+use crate::report::{CostFigures, CostReport};
 use crate::stage::{FailAction, Stage};
 use ipass_obs::{Probe, Profiler, RunStats};
 use ipass_sim::{BinomialTally, Executor, RunOptions, Sampler, SimRng, StopRule};
@@ -145,7 +146,7 @@ impl Default for SimOptions {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimSummary {
     /// The cost report assembled from the simulated counts.
-    pub report: crate::report::CostReport,
+    pub report: CostReport,
     /// Units scrapped anywhere in the flow (including subassemblies).
     pub scrapped: f64,
     /// Total rework attempts performed.
@@ -291,8 +292,7 @@ fn summarize(
             Money::new(totals.embodied_by_cat[i] + totals.scrap_by_cat[i]),
         );
     }
-    let report = crate::report::CostReport::from_parts(
-        line_name.to_owned(),
+    let figures = CostFigures::from_parts(
         started,
         totals.shipped,
         totals.good_shipped,
@@ -301,6 +301,10 @@ fn summarize(
         by_category,
         nre,
         volume,
+    );
+    let report = CostReport::from_parts(
+        line_name.to_owned(),
+        figures,
         labels::pareto(names, &totals.defects, started),
     );
     let stats = totals.probe.then(|| {

@@ -48,7 +48,7 @@ use crate::diagnostics::{Diagnostics, Severity};
 use crate::dual::{DualDirection, DualReport};
 use crate::error::FlowError;
 use crate::mc::{self, SimOptions, SimSummary};
-use crate::report::CostReport;
+use crate::report::{CostFigures, CostReport};
 use crate::verify::{self, StaticBounds, VerifyMode};
 use ipass_sim::SimRng;
 use ipass_units::{Money, Probability};
@@ -533,6 +533,29 @@ impl FlowPatch {
             self.volume,
         )
     }
+
+    /// The numbers of [`FlowPatch::analyze`]'s report, from the same
+    /// walk but without its labels: no flow name is cloned and no defect
+    /// pareto is built or sorted. Every figure equals the report's bit
+    /// for bit. This is what a screen that reads only numbers should
+    /// call.
+    ///
+    /// # Errors
+    ///
+    /// The same as [`FlowPatch::analyze`], for the same patches:
+    /// [`FlowError::NothingShipped`] and [`FlowError::NonFiniteCost`].
+    pub fn figures(&self) -> Result<CostFigures, FlowError> {
+        let (entry, len) = self.program.top_region();
+        analytic::figures_of_ops(
+            &self.ops,
+            entry,
+            len,
+            self.program.names().len(),
+            self.program.line_name(),
+            self.nre,
+            self.volume,
+        )
+    }
 }
 
 /// Translate per-input-unit [`DualDirection`]s into per-op tangent
@@ -928,7 +951,7 @@ mod tests {
                 "dual {} vs fd {fd}",
                 g.final_cost_per_shipped,
             );
-            let fd_ship = central_fd(&base, *x0, h, apply, CostReport::shipped_fraction);
+            let fd_ship = central_fd(&base, *x0, h, apply, |r| r.shipped_fraction());
             assert!((g.shipped_fraction - fd_ship).abs() <= 1e-6 * fd_ship.abs().max(1.0));
         }
         // Cost directions are exact-linear: extrapolating the carrier

@@ -3,6 +3,7 @@
 use crate::cost::{CostCategory, CostVector};
 use ipass_units::Money;
 use std::fmt;
+use std::ops::Deref;
 
 /// One row of a rendered cost breakdown.
 #[derive(Debug, Clone, PartialEq)]
@@ -15,18 +16,25 @@ pub struct CostBreakdownRow {
     pub share: f64,
 }
 
-/// The result of evaluating a [`Flow`](crate::Flow), from either engine.
+/// The numbers of a [`CostReport`], without its labels: the run's
+/// totals and every quantity the paper's Eq. 1 derives from them.
 ///
 /// All absolute figures refer to `started` carrier units (the analytic
 /// engine normalizes `started = 1`); the `*_per_shipped` accessors
-/// implement the paper's Eq. 1:
+/// implement Eq. 1:
 ///
 /// ```text
 /// final cost = (Σ direct cost + Σ scrap cost + Σ NRE) / #shipped
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct CostReport {
-    name: String,
+///
+/// A `CostReport` derefs to its figures, so every accessor here reads
+/// the same off either. [`FlowPatch::figures`] returns them straight
+/// from the analytic walk, without naming the flow or its defect
+/// sources.
+///
+/// [`FlowPatch::figures`]: crate::FlowPatch::figures
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CostFigures {
     started: f64,
     shipped: f64,
     good_shipped: f64,
@@ -35,13 +43,11 @@ pub struct CostReport {
     by_category: CostVector,
     nre: Money,
     volume: u64,
-    defect_pareto: Vec<(String, f64)>,
 }
 
 #[allow(clippy::too_many_arguments)]
-impl CostReport {
+impl CostFigures {
     pub(crate) fn from_parts(
-        name: String,
         started: f64,
         shipped: f64,
         good_shipped: f64,
@@ -50,12 +56,10 @@ impl CostReport {
         by_category: CostVector,
         nre: Money,
         volume: u64,
-        defect_pareto: Vec<(String, f64)>,
-    ) -> CostReport {
+    ) -> CostFigures {
         debug_assert!(shipped <= started + 1e-9);
         debug_assert!(good_shipped <= shipped + 1e-9);
-        CostReport {
-            name,
+        CostFigures {
             started,
             shipped,
             good_shipped,
@@ -64,13 +68,7 @@ impl CostReport {
             by_category,
             nre,
             volume,
-            defect_pareto,
         }
-    }
-
-    /// Name of the evaluated flow.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Units started (1.0 for the analytic engine).
@@ -186,14 +184,8 @@ impl CostReport {
         }
     }
 
-    /// Fraction of started units that received their first defect at each
-    /// stage/part, sorted descending ("yield pareto").
-    pub fn defect_pareto(&self) -> &[(String, f64)] {
-        &self.defect_pareto
-    }
-
-    /// Final cost relative to a reference report (1.0 = same cost).
-    pub fn relative_cost(&self, reference: &CostReport) -> f64 {
+    /// Final cost relative to a reference (1.0 = same cost).
+    pub fn relative_cost(&self, reference: &CostFigures) -> f64 {
         self.final_cost_per_shipped() / reference.final_cost_per_shipped()
     }
 
@@ -234,6 +226,41 @@ impl CostReport {
         }
         rows
     }
+}
+
+/// The result of evaluating a [`Flow`](crate::Flow), from either engine:
+/// the flow's name, its [`CostFigures`] (which the report derefs to)
+/// and the defect pareto.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CostReport {
+    name: String,
+    figures: CostFigures,
+    defect_pareto: Vec<(String, f64)>,
+}
+
+impl CostReport {
+    pub(crate) fn from_parts(
+        name: String,
+        figures: CostFigures,
+        defect_pareto: Vec<(String, f64)>,
+    ) -> CostReport {
+        CostReport {
+            name,
+            figures,
+            defect_pareto,
+        }
+    }
+
+    /// Name of the evaluated flow.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Fraction of started units that received their first defect at each
+    /// stage/part, sorted descending ("yield pareto").
+    pub fn defect_pareto(&self) -> &[(String, f64)] {
+        &self.defect_pareto
+    }
 
     /// The report as a typed artifact table (summary quantities, spend
     /// by category, the defect pareto) — the canonical machine-facing
@@ -241,8 +268,8 @@ impl CostReport {
     pub fn artifact_table(&self) -> ipass_report::Table {
         use ipass_report::Cell;
         let mut rows: Vec<(String, f64)> = vec![
-            ("units started".into(), self.started),
-            ("units shipped".into(), self.shipped),
+            ("units started".into(), self.started()),
+            ("units shipped".into(), self.shipped()),
             ("shipped fraction".into(), self.shipped_fraction()),
             ("escape rate".into(), self.escape_rate()),
             (
@@ -259,7 +286,7 @@ impl CostReport {
             ),
             ("NRE per shipped".into(), self.nre_per_shipped().units()),
         ];
-        for (cat, amount) in self.by_category.iter() {
+        for (cat, amount) in self.by_category().iter() {
             if amount.units() != 0.0 {
                 rows.push((format!("spend: {}", cat.label()), amount.units()));
             }
@@ -286,7 +313,7 @@ impl CostReport {
             Segment::new("direct cost", self.direct_cost_per_shipped().units()),
             Segment::new("yield loss", self.yield_loss_per_shipped().units()),
         ];
-        if self.nre.units() > 0.0 {
+        if self.nre().units() > 0.0 {
             segments.push(Segment::new("NRE", self.nre_per_shipped().units()));
         }
         let callouts = vec![Segment::new(
@@ -303,8 +330,8 @@ impl CostReport {
         out.push_str(&format!("flow: {}\n", self.name));
         out.push_str(&format!(
             "  started {:>12.1}   shipped {:>12.1} ({:.2}%)   escapes {:.4}%\n",
-            self.started,
-            self.shipped,
+            self.started(),
+            self.shipped(),
             self.shipped_fraction() * 100.0,
             self.escape_rate() * 100.0
         ));
@@ -321,7 +348,7 @@ impl CostReport {
             ));
         }
         out.push_str("  spend by category (incl. scrap):\n");
-        for (cat, amount) in self.by_category.iter() {
+        for (cat, amount) in self.by_category().iter() {
             if amount.units() != 0.0 {
                 out.push_str(&format!(
                     "    {:<22} {:>10}\n",
@@ -337,6 +364,14 @@ impl CostReport {
             }
         }
         out
+    }
+}
+
+impl Deref for CostReport {
+    type Target = CostFigures;
+
+    fn deref(&self) -> &CostFigures {
+        &self.figures
     }
 }
 
@@ -356,14 +391,16 @@ mod tests {
         cats.book(CostCategory::Test, Money::new(30.0));
         CostReport::from_parts(
             "t".into(),
-            1.0,
-            0.8,
-            0.79,
-            Money::new(100.0),
-            Money::new(84.0),
-            cats,
-            Money::new(1000.0),
-            10_000,
+            CostFigures::from_parts(
+                1.0,
+                0.8,
+                0.79,
+                Money::new(100.0),
+                Money::new(84.0),
+                cats,
+                Money::new(1000.0),
+                10_000,
+            ),
             vec![("solder".into(), 0.15)],
         )
     }
@@ -411,8 +448,7 @@ mod tests {
 
     #[test]
     fn zero_shipped_is_safe() {
-        let r = CostReport::from_parts(
-            "dead".into(),
+        let r = CostFigures::from_parts(
             1.0,
             0.0,
             0.0,
@@ -421,7 +457,6 @@ mod tests {
             CostVector::new(),
             Money::ZERO,
             1,
-            vec![],
         );
         assert_eq!(r.direct_cost_per_shipped(), Money::ZERO);
         assert_eq!(r.final_cost_per_shipped(), Money::ZERO);
