@@ -218,7 +218,6 @@ fn bench_explore_frontier(c: &mut Criterion) {
         mc_units: 2_000,
         seed: 7,
         stop: None,
-        ..RefineOptions::default()
     };
     group.bench_function("refine", |b| {
         b.iter(|| {

@@ -48,16 +48,6 @@ pub enum ExploreError {
         /// The supported maximum.
         limit: u64,
     },
-    /// An evaluation returned a different number of objective values
-    /// than the exploration defines.
-    ObjectiveCountMismatch {
-        /// Point index whose evaluation misbehaved.
-        point: usize,
-        /// Objectives the exploration defines.
-        expected: usize,
-        /// Values the evaluation returned.
-        got: usize,
-    },
     /// An evaluation produced a NaN objective — NaN has no place in a
     /// dominance order, so the point is rejected instead of silently
     /// winning or losing every comparison.
@@ -71,14 +61,6 @@ pub enum ExploreError {
     SenseMismatch,
     /// Evaluating a point failed inside the production-flow layer.
     Flow(FlowError),
-    /// Evaluating a point failed inside a domain layer (filter design,
-    /// component synthesis, …).
-    Eval {
-        /// Point index whose evaluation failed.
-        point: usize,
-        /// The domain error, rendered.
-        message: String,
-    },
 }
 
 impl fmt::Display for ExploreError {
@@ -98,14 +80,6 @@ impl fmt::Display for ExploreError {
             ExploreError::TooManyPoints { points, limit } => {
                 write!(f, "sampler asks for {points} points (limit {limit})")
             }
-            ExploreError::ObjectiveCountMismatch {
-                point,
-                expected,
-                got,
-            } => write!(
-                f,
-                "point {point} evaluated to {got} objective values, expected {expected}"
-            ),
             ExploreError::NanObjective { point, objective } => {
                 write!(f, "point {point} produced NaN for objective {objective:?}")
             }
@@ -116,9 +90,6 @@ impl fmt::Display for ExploreError {
                 )
             }
             ExploreError::Flow(e) => write!(f, "flow evaluation failed: {e}"),
-            ExploreError::Eval { point, message } => {
-                write!(f, "evaluating point {point} failed: {message}")
-            }
         }
     }
 }

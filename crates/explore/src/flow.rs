@@ -15,20 +15,20 @@
 //!    rebuilding the line per promoted point — patched programs are
 //!    analytic-only by contract.
 //!
-//! Steps 1–3 are the generic engine ([`explore_fn`], [`frontier_fn`])
-//! with the patched walk as its evaluator.
+//! Steps 1–3 share one private per-point evaluator (patch, walk, read
+//! the objectives); [`FlowExplorer::explore`] keeps every point,
+//! [`FlowExplorer::screen_frontier`] only the frontier.
 
-use crate::engine::{checked_objectives, explore_fn, frontier_fn, Exploration};
+use crate::engine::Exploration;
 use crate::error::ExploreError;
 use crate::pareto::{dominates, DesignPoint, ParetoFrontier, Sense};
-use crate::sample::SamplerSpec;
+use crate::sample::{PointSet, SamplerSpec};
 use crate::space::{Axis, Levels};
 use ipass_moe::{CompiledFlow, CostFigures, Flow, FlowError, FlowPatch, SimOptions, StopRule};
-use ipass_obs::{ExploreStats, Probe, Profiler, RunStats};
+use ipass_obs::Profiler;
 use ipass_sim::{Executor, SimRng};
 use ipass_units::{Money, Probability};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A caller-supplied patch procedure (the [`FlowTarget::Custom`]
@@ -303,11 +303,6 @@ pub struct RefineOptions {
     /// Optional CI-based early stopping (see
     /// [`Flow::simulate_adaptive`]).
     pub stop: Option<StopRule>,
-    /// Deterministic-plane instrumentation for the confirmation runs:
-    /// [`Probe::ON`] makes every [`Confirmation`] carry a [`RunStats`]
-    /// snapshot (and [`Refined::run_stats`] their merge). Off by
-    /// default — disabled probes cost nothing on the kernel hot path.
-    pub probe: Probe,
 }
 
 impl Default for RefineOptions {
@@ -317,7 +312,6 @@ impl Default for RefineOptions {
             mc_units: 20_000,
             seed: 0x1DEA_5EED,
             stop: None,
-            probe: Probe::OFF,
         }
     }
 }
@@ -335,9 +329,6 @@ pub struct Confirmation {
     pub units_run: f64,
     /// Whether the early-stopping rule fired.
     pub stopped_early: bool,
-    /// Deterministic counters for this confirmation run — `Some`
-    /// exactly when [`RefineOptions::probe`] was on.
-    pub stats: Option<RunStats>,
 }
 
 /// The outcome of [`FlowExplorer::refine`].
@@ -350,9 +341,6 @@ pub struct Refined {
     /// Per-promoted-point Monte Carlo confirmations, aligned with
     /// `promoted`.
     pub confirmations: Vec<Confirmation>,
-    /// Patch-slot writes the screening pass applied (every setter call,
-    /// duplicates included).
-    pub patch_writes: u64,
 }
 
 impl Refined {
@@ -379,33 +367,6 @@ impl Refined {
     /// Fraction of screened points that paid for a Monte Carlo run.
     pub fn promoted_fraction(&self) -> f64 {
         self.promoted.len() as f64 / self.screen.points.len().max(1) as f64
-    }
-
-    /// The refinement's deterministic-plane snapshot: every promoted
-    /// point's probed engine counters merged (all zero when the probe
-    /// was off), plus the pipeline counters — points screened /
-    /// promoted / confirmed, early stops, and patch-slot writes — which
-    /// are counted whether or not the probe was on. Bit-identical for
-    /// any executor thread count.
-    pub fn run_stats(&self) -> RunStats {
-        let mut stats = RunStats::default();
-        for c in &self.confirmations {
-            if let Some(s) = &c.stats {
-                stats.merge(s);
-            }
-        }
-        stats.explore = ExploreStats {
-            screened: self.screen.points.len() as u64,
-            promoted: self.promoted.len() as u64,
-            confirmed: self.confirmations.len() as u64,
-            early_stops: self
-                .confirmations
-                .iter()
-                .filter(|c| c.stopped_early)
-                .count() as u64,
-        };
-        stats.patch_writes = self.patch_writes;
-        stats
     }
 
     /// The refinement as a typed [`FrontierPlot`] artifact: the full
@@ -481,10 +442,6 @@ pub struct FlowExplorer {
     axes: Vec<FlowAxis>,
     objectives: Vec<Objective>,
     executor: Executor,
-    /// Patch-slot writes applied by every screening pass on this
-    /// explorer (shared across clones). Each screen counts its own
-    /// writes and adds them here once, when it ends.
-    patch_writes: Arc<AtomicU64>,
     profiler: Option<Profiler>,
 }
 
@@ -497,7 +454,6 @@ impl FlowExplorer {
             axes: Vec::new(),
             objectives: Vec::new(),
             executor: Executor::available(),
-            patch_writes: Arc::new(AtomicU64::new(0)),
             profiler: None,
         }
     }
@@ -525,7 +481,7 @@ impl FlowExplorer {
     /// [`FlowExplorer::refine`] adds a `"promote"` span around the
     /// choice of points to confirm and a `"confirm"` span around the
     /// Monte Carlo pass. Timings live strictly outside the deterministic
-    /// plane — no result or [`RunStats`] ever depends on them.
+    /// plane — no result ever depends on them.
     pub fn with_profiler(mut self, profiler: Profiler) -> FlowExplorer {
         self.profiler = Some(profiler);
         self
@@ -536,7 +492,9 @@ impl FlowExplorer {
         &self.compiled
     }
 
-    fn validate(&self) -> Result<(), ExploreError> {
+    /// Check the explorer's shape and resolve `sampler` against its
+    /// axes.
+    fn sample(&self, sampler: &SamplerSpec) -> Result<PointSet, ExploreError> {
         if self.axes.is_empty() {
             return Err(ExploreError::NoAxes);
         }
@@ -546,78 +504,45 @@ impl FlowExplorer {
         for axis in &self.axes {
             axis.validate()?;
         }
-        Ok(())
+        let axes: Vec<Axis> = self.axes.iter().map(|a| a.axis.clone()).collect();
+        sampler.points(&axes)
     }
 
-    fn generic_axes(&self) -> Vec<Axis> {
-        self.axes.iter().map(|a| a.axis.clone()).collect()
+    fn senses(&self) -> Vec<Sense> {
+        self.objectives.iter().map(|o| o.sense).collect()
     }
 
-    fn objective_specs(&self) -> Vec<(String, Sense)> {
-        self.objectives
-            .iter()
-            .map(|o| (o.label.clone(), o.sense))
-            .collect()
+    /// The objective values read off `figures`, refused when one is NaN.
+    fn measure(&self, index: usize, figures: &CostFigures) -> Result<Vec<f64>, ExploreError> {
+        checked_objectives(
+            index,
+            self.objectives
+                .iter()
+                .map(|o| o.metric.of(figures))
+                .collect(),
+            &self.objectives,
+        )
     }
 
-    /// Total patch-slot writes screening passes have applied on this
-    /// explorer (and its clones) so far.
-    pub fn patch_writes(&self) -> u64 {
-        self.patch_writes.load(Ordering::Relaxed)
-    }
-
-    fn measure(&self, figures: &CostFigures) -> Vec<f64> {
-        self.objectives
-            .iter()
-            .map(|o| o.metric.of(figures))
-            .collect()
-    }
-
-    /// Run one screening pass: `run` gets the evaluator, one patched
-    /// cohort walk per point (never a rebuilt flow) read through
+    /// Screen one point: write its coordinates into a patch of the
+    /// compiled program and walk it analytically. It reads
     /// [`FlowPatch::figures`], so no point builds a report's labels.
-    /// Returns `run`'s answer and the slot writes this pass applied,
-    /// which are also added to [`FlowExplorer::patch_writes`]. The count
-    /// is this pass's own, whatever other clones screen meanwhile; a
-    /// relaxed `u64` sum is order-independent, so it stays deterministic
-    /// under any thread count.
-    fn screen<T>(
-        &self,
-        run: impl FnOnce(&(dyn Fn(usize, &[f64]) -> Result<Vec<f64>, ExploreError> + Sync)) -> T,
-    ) -> (T, u64) {
-        let writes = AtomicU64::new(0);
-        let answer = run(&|_, coords| {
-            let mut patch = self.compiled.patch();
-            for (axis, &x) in self.axes.iter().zip(coords) {
-                axis.apply(x, &mut patch)?;
-            }
-            writes.fetch_add(patch.writes(), Ordering::Relaxed);
-            Ok(self.measure(&patch.figures()?))
-        });
-        let writes = writes.into_inner();
-        self.patch_writes.fetch_add(writes, Ordering::Relaxed);
-        (answer, writes)
+    fn evaluate(&self, index: usize, coords: Vec<f64>) -> Result<DesignPoint, ExploreError> {
+        let mut patch = self.compiled.patch();
+        for (axis, &x) in self.axes.iter().zip(&coords) {
+            axis.apply(x, &mut patch)?;
+        }
+        let objectives = self.measure(index, &patch.figures()?)?;
+        Ok(DesignPoint {
+            index,
+            coords,
+            objectives,
+        })
     }
 
-    /// [`FlowExplorer::explore`] without its span, plus the slot writes
-    /// of its screen.
-    fn explore_counted(&self, sampler: &SamplerSpec) -> Result<(Exploration, u64), ExploreError> {
-        self.validate()?;
-        let (screen, writes) = self.screen(|eval| {
-            explore_fn(
-                &self.executor,
-                &self.generic_axes(),
-                sampler,
-                &self.objective_specs(),
-                eval,
-            )
-        });
-        Ok((screen?, writes))
-    }
-
-    /// Sample and analytically evaluate every point, returning the full
-    /// screen with its Pareto frontier ([`explore_fn`] over the patched
-    /// program).
+    /// Sample and analytically evaluate every point in parallel on the
+    /// explorer's executor (results independent of the thread count),
+    /// returning the full screen with its Pareto frontier.
     ///
     /// # Errors
     ///
@@ -626,29 +551,49 @@ impl FlowExplorer {
     /// point order).
     pub fn explore(&self, sampler: &SamplerSpec) -> Result<Exploration, ExploreError> {
         let _span = self.profiler.as_ref().map(|p| p.span("screen"));
-        self.explore_counted(sampler).map(|(screen, _)| screen)
+        let pts = self.sample(sampler)?;
+        let indices: Vec<usize> = (0..pts.len()).collect();
+        let points = self
+            .executor
+            .try_map(&indices, |_, &i| self.evaluate(i, pts.coords(i)))?;
+        let senses = self.senses();
+        let frontier = ParetoFrontier::of_points(senses.clone(), &points);
+        Ok(Exploration {
+            axes: self.axes.iter().map(|a| a.axis.name.clone()).collect(),
+            objectives: self.objectives.iter().map(|o| o.label.clone()).collect(),
+            senses,
+            points,
+            frontier,
+        })
     }
 
-    /// Reduce straight to the Pareto frontier without retaining the
-    /// screened points ([`frontier_fn`] over the patched program):
-    /// `O(frontier)` memory, for grids too large to keep.
+    /// Like [`FlowExplorer::explore`], but reduce straight to the Pareto
+    /// frontier without retaining the screened points: `O(frontier)`
+    /// memory, for grids too large to keep.
+    ///
+    /// Runs on the executor's chunked map-reduce
+    /// ([`Executor::try_map_reduce`]): each chunk folds into a local
+    /// frontier, chunk frontiers merge in chunk order, and because
+    /// frontier membership is insertion-order invariant the result is
+    /// identical for any thread count and chunk geometry.
     ///
     /// # Errors
     ///
     /// See [`FlowExplorer::explore`].
     pub fn screen_frontier(&self, sampler: &SamplerSpec) -> Result<ParetoFrontier, ExploreError> {
         let _span = self.profiler.as_ref().map(|p| p.span("screen"));
-        self.validate()?;
-        self.screen(|eval| {
-            frontier_fn(
-                &self.executor,
-                &self.generic_axes(),
-                sampler,
-                &self.objective_specs(),
-                eval,
-            )
-        })
-        .0
+        let pts = self.sample(sampler)?;
+        let senses = self.senses();
+        self.executor.try_map_reduce(
+            pts.len() as u64,
+            || ParetoFrontier::new(senses.clone()),
+            |unit, acc| {
+                let i = unit as usize;
+                acc.insert(self.evaluate(i, pts.coords(i))?);
+                Ok(())
+            },
+            |into, from| into.merge(from),
+        )
     }
 
     /// Adaptive refinement: screen every point analytically, prune
@@ -677,10 +622,7 @@ impl FlowExplorer {
     where
         B: Fn(&[f64]) -> Result<Flow, FlowError> + Sync,
     {
-        let (screen, patch_writes) = {
-            let _span = self.profiler.as_ref().map(|p| p.span("screen"));
-            self.explore_counted(sampler)?
-        };
+        let screen = self.explore(sampler)?;
         let promoted = {
             let _span = self.profiler.as_ref().map(|p| p.span("promote"));
             promote(&screen, options.margin)
@@ -690,31 +632,40 @@ impl FlowExplorer {
             let point = &screen.points[i];
             let flow = build(&point.coords)?;
             let seed = SimRng::stream(options.seed, i as u64).next_u64();
-            let sim = SimOptions::new(options.mc_units)
-                .with_seed(seed)
-                .with_probe(options.probe);
+            let sim = SimOptions::new(options.mc_units).with_seed(seed);
             let summary = match options.stop {
                 Some(rule) => flow.simulate_adaptive(&sim, rule),
                 None => flow.simulate_summary(&sim),
             }?;
             Ok::<Confirmation, ExploreError>(Confirmation {
                 index: i,
-                objectives: checked_objectives(
-                    i,
-                    self.measure(&summary.report),
-                    &screen.objectives,
-                )?,
+                objectives: self.measure(i, &summary.report)?,
                 units_run: summary.report.started(),
                 stopped_early: summary.stopped_early,
-                stats: summary.stats,
             })
         })?;
         Ok(Refined {
             screen,
             promoted,
             confirmations,
-            patch_writes,
         })
+    }
+}
+
+/// Refuse an objective vector with a NaN value: NaN has no place in a
+/// dominance order, so the point would silently win or lose every
+/// comparison.
+fn checked_objectives(
+    point: usize,
+    values: Vec<f64>,
+    objectives: &[Objective],
+) -> Result<Vec<f64>, ExploreError> {
+    match values.iter().position(|v| v.is_nan()) {
+        Some(k) => Err(ExploreError::NanObjective {
+            point,
+            objective: objectives[k].label.clone(),
+        }),
+        None => Ok(values),
     }
 }
 
@@ -1017,7 +968,6 @@ mod tests {
             mc_units: 4_000,
             seed: 11,
             stop: None,
-            probe: Probe::ON,
         };
         let refined = explorer()
             .refine(&SamplerSpec::Grid, &options, |coords| {
@@ -1052,90 +1002,65 @@ mod tests {
         assert!(refined.render().contains("promoted to MC"));
         // The MC-measured frontier exists and stays near the band.
         assert!(!refined.confirmed_frontier().members().is_empty());
-        // The probe was on, so every confirmation carries its exact
-        // counters, and the merged snapshot adds the pipeline totals.
-        assert!(refined.confirmations.iter().all(|c| c.stats.is_some()));
-        let stats = refined.run_stats();
-        assert_eq!(stats.explore.screened, 64);
-        assert_eq!(stats.explore.promoted as usize, refined.promoted.len());
-        assert_eq!(
-            stats.explore.confirmed as usize,
-            refined.confirmations.len()
-        );
-        assert_eq!(stats.explore.early_stops, 0);
         // No early stopping: every promoted point paid the full budget.
-        assert_eq!(stats.units, 4_000 * refined.promoted.len() as u64);
-        assert!(stats.draws > 0);
-        // Two single-slot axes, one write each, per screened point.
-        assert_eq!(refined.patch_writes, 2 * 64);
-        assert_eq!(stats.patch_writes, refined.patch_writes);
+        assert!(refined
+            .confirmations
+            .iter()
+            .all(|c| c.units_run == 4_000.0 && !c.stopped_early));
     }
 
     #[test]
-    fn unprobed_refinement_carries_pipeline_counters_only() {
-        let refined = explorer()
-            .refine(&SamplerSpec::Grid, &RefineOptions::default(), |coords| {
-                Ok(flow(2.0 * coords[0], coords[1]))
-            })
-            .unwrap();
-        assert!(refined.confirmations.iter().all(|c| c.stats.is_none()));
-        let stats = refined.run_stats();
-        assert_eq!(stats.units, 0);
-        assert_eq!(stats.explore.screened, 64);
-        assert_eq!(stats.patch_writes, 2 * 64);
-    }
-
-    #[test]
-    fn concurrent_clones_do_not_leak_into_each_others_write_counts() {
-        // Clones share the cumulative counter; each refinement must
-        // still report only its own screen's writes.
-        const SIDE: usize = 32;
-        const RUNS: usize = 20;
-        let explorer = FlowExplorer::new(flow(2.0, 0.95).compiled().unwrap())
-            .axis(FlowAxis::cost_scale(
-                "board",
-                Levels::linspace(0.5, 1.5, SIDE),
-            ))
-            .axis(FlowAxis::coverage(
-                "test",
-                Levels::linspace(0.9, 0.999, SIDE),
-            ))
-            .objective(Objective::minimize(Metric::FinalCostPerShipped))
-            .objective(Objective::minimize(Metric::EscapeRate))
-            .with_executor(Executor::serial());
+    fn refine_refuses_a_confirmation_whose_costs_overflow() {
+        // The rebuilt line books 1e308 on the board and on the process,
+        // each valid on its own; per unit they sum past f64::MAX.
+        let overflowing = |_: &[f64]| {
+            let line = Line::builder(
+                "t",
+                Part::new("board", CostCategory::Substrate)
+                    .with_cost(StepCost::fixed(Money::new(1e308))),
+            )
+            .process(
+                Process::new("assemble")
+                    .with_cost(StepCost::fixed(Money::new(1e308)))
+                    .with_yield(YieldModel::percent(92.0)),
+            )
+            .build()?;
+            Ok(Flow::new(line))
+        };
         let options = RefineOptions {
-            mc_units: 200,
+            mc_units: 100,
             ..RefineOptions::default()
         };
-        let start = std::sync::Barrier::new(2);
-        let counts: Vec<u64> = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..2)
-                .map(|_| {
-                    let explorer = explorer.clone();
-                    let (start, options) = (&start, &options);
-                    scope.spawn(move || {
-                        start.wait();
-                        (0..RUNS)
-                            .map(|_| {
-                                explorer
-                                    .refine(&SamplerSpec::Grid, options, |c| {
-                                        Ok(flow(2.0 * c[0], c[1]))
-                                    })
-                                    .unwrap()
-                                    .patch_writes
-                            })
-                            .collect::<Vec<u64>>()
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .flat_map(|w| w.join().expect("refining thread panicked"))
-                .collect()
-        });
-        let per_screen = (2 * SIDE * SIDE) as u64;
-        assert_eq!(counts, vec![per_screen; 2 * RUNS]);
-        assert_eq!(explorer.patch_writes(), per_screen * 2 * RUNS as u64);
+        let err = explorer()
+            .refine(&SamplerSpec::Grid, &options, overflowing)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ExploreError::Flow(FlowError::NonFiniteCost { ref flow }) if flow == "t"
+            ),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn nan_objectives_are_refused() {
+        let objectives = [
+            Objective::minimize(Metric::FinalCostPerShipped),
+            Objective::minimize(Metric::EscapeRate),
+        ];
+        assert_eq!(
+            checked_objectives(3, vec![1.0, 0.5], &objectives).unwrap(),
+            [1.0, 0.5]
+        );
+        let err = checked_objectives(3, vec![1.0, f64::NAN], &objectives).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ExploreError::NanObjective { point: 3, ref objective } if objective == "escape rate"
+            ),
+            "{err}"
+        );
     }
 
     #[test]

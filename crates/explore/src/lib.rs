@@ -22,11 +22,9 @@
 //!   band to seeded Monte Carlo confirmation with CI-based early
 //!   stopping.
 //!
-//! The generic engine ([`explore_fn`], [`frontier_fn`]) owns sampling,
-//! fan-out, the objective checks and frontier extraction, and is
-//! domain-agnostic: [`FlowExplorer`]'s screens drive it with one
-//! patched cohort walk per point, the RF and passives crates with
-//! filter and component-synthesis evaluators.
+//! [`FlowExplorer`] owns the whole pipeline: sampling, the executor
+//! fan-out of one patched cohort walk per point, the NaN check on its
+//! objectives, and frontier extraction.
 //!
 //! # Examples
 //!
@@ -70,7 +68,7 @@ mod pareto;
 mod sample;
 mod space;
 
-pub use engine::{explore_fn, frontier_fn, Exploration};
+pub use engine::Exploration;
 pub use error::ExploreError;
 pub use flow::{
     Confirmation, FlowAxis, FlowExplorer, FlowTarget, Metric, Objective, RefineOptions, Refined,

@@ -104,12 +104,11 @@ impl Levels {
     }
 }
 
-/// One named dimension of a design space.
+/// One named dimension of a design space: what a [`SamplerSpec`]
+/// samples. A [`FlowAxis`](crate::FlowAxis) wraps it with the patch
+/// slot the value lands in.
 ///
-/// The generic engine ([`explore_fn`](crate::explore_fn)) only needs the
-/// name and the levels; the production-flow binding wraps this in a
-/// [`FlowAxis`](crate::FlowAxis) that also knows which patch slot the
-/// value lands in.
+/// [`SamplerSpec`]: crate::SamplerSpec
 #[derive(Debug, Clone, PartialEq)]
 pub struct Axis {
     /// Display name of the dimension.

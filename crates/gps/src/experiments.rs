@@ -1008,7 +1008,6 @@ pub fn design_space(solution_index: usize, grid: usize) -> Result<DesignSpace, E
                 mc_units: 60_000,
                 seed: 2_000,
                 stop: Some(StopRule::half_width_95(0.005)),
-                ..RefineOptions::default()
             },
             |coords| {
                 // Rebuild for MC: the same card surgery, through the

@@ -28,7 +28,7 @@
 //! IR walker against, exactly like the Monte Carlo interpreter oracle.
 
 use crate::compile::{Op, RoutingProgram, SlotKind};
-use crate::cost::{CostCategory, CostVector};
+use crate::cost::CostCategory;
 use crate::dual::{Dual, DualReport, Gradient, NoSeeds, Scalar, SeedTable, TangentSeeds};
 use crate::error::FlowError;
 use crate::labels::{self, InputLabels, LineLabels, StageLabels};
@@ -135,12 +135,9 @@ struct LineOutcome<S = f64> {
 /// so their numbers are built identically).
 ///
 /// A flow that ships at most 1e-12 of a started unit is refused with
-/// [`FlowError::NothingShipped`]. Costs that are each finite can still
-/// overflow when summed. A total spend or category spend that is not
-/// finite is refused with [`FlowError::NonFiniteCost`] before it reaches
-/// [`Money::new`], which panics on NaN; so is a final cost per shipped
-/// unit that is not finite. `line_name` is read only to name the flow
-/// in these errors.
+/// [`FlowError::NothingShipped`]; [`CostFigures::try_from_parts`]
+/// refuses costs that overflow. `line_name` is read only to name the
+/// flow in these errors.
 fn figures_from(
     line_name: &str,
     outcome: &LineOutcome,
@@ -153,32 +150,17 @@ fn figures_from(
             flow: line_name.to_owned(),
         });
     }
-    let overflow = || FlowError::NonFiniteCost {
-        flow: line_name.to_owned(),
-    };
-    let total_spend = outcome.embodied + acc.scrap_spend;
-    let by_cat: [f64; NCAT] = std::array::from_fn(|i| outcome.by_cat[i] + acc.scrap_by_cat[i]);
-    if !total_spend.is_finite() || !by_cat.iter().all(|s| s.is_finite()) {
-        return Err(overflow());
-    }
-    let mut by_category = CostVector::new();
-    for cat in CostCategory::ALL {
-        by_category.book(cat, Money::new(by_cat[cat.index()]));
-    }
-    let figures = CostFigures::from_parts(
+    CostFigures::try_from_parts(
+        line_name,
         1.0,
         outcome.shipped,
         outcome.good,
-        Money::new(total_spend),
-        Money::new(outcome.embodied),
-        by_category,
+        outcome.embodied + acc.scrap_spend,
+        outcome.embodied,
+        std::array::from_fn(|i| outcome.by_cat[i] + acc.scrap_by_cat[i]),
         nre,
         volume,
-    );
-    if !figures.final_cost_per_shipped().units().is_finite() {
-        return Err(overflow());
-    }
-    Ok(figures)
+    )
 }
 
 /// Assemble the [`CostReport`] from a per-started-unit outcome: its

@@ -151,8 +151,8 @@ impl Flow {
     /// # Errors
     ///
     /// Returns [`FlowError`] if the line is structurally invalid, no units
-    /// are requested, nothing ships, or a nested line starves its
-    /// consumer.
+    /// are requested, nothing ships, a nested line starves its consumer,
+    /// or the costs overflow when summed ([`FlowError::NonFiniteCost`]).
     pub fn simulate(&self, options: &SimOptions) -> Result<CostReport, FlowError> {
         self.simulate_summary(options).map(|s| s.report)
     }
@@ -246,6 +246,28 @@ mod tests {
         let report = &s.report;
         assert_eq!(report.started(), 10_001.0);
         assert!((report.shipped() + s.scrapped - 10_001.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn both_engines_refuse_costs_that_overflow_when_summed() {
+        // The carrier and the process each book 1e308, valid on its own;
+        // per unit they sum past f64::MAX. The Monte Carlo report must
+        // refuse it as the analytic one does, not panic when read.
+        let line = Line::builder(
+            "f",
+            Part::new("c", CostCategory::Substrate).with_cost(StepCost::fixed(Money::new(1e308))),
+        )
+        .process(
+            Process::new("p")
+                .with_cost(StepCost::fixed(Money::new(1e308)))
+                .with_yield(YieldModel::percent(95.0)),
+        )
+        .build()
+        .unwrap();
+        let f = Flow::new(line);
+        let overflow = FlowError::NonFiniteCost { flow: "f".into() };
+        assert_eq!(f.analyze().unwrap_err(), overflow);
+        assert_eq!(f.simulate(&SimOptions::new(100)).unwrap_err(), overflow);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! oracle the property tests pin both kernels against.
 
 use crate::compile::{RoutingProgram, Totals, NCAT};
-use crate::cost::{CostCategory, CostVector};
+use crate::cost::CostCategory;
 use crate::error::FlowError;
 use crate::labels::{self, InputLabels, LineLabels, StageLabels};
 use crate::lane::LaneSampler;
@@ -269,7 +269,9 @@ pub(crate) fn simulate_program_profiled(
 
 /// Assemble the [`SimSummary`] from a merged accumulator (shared by the
 /// kernel and the interpreter oracle, so their outputs are built
-/// identically).
+/// identically). A run that ships no unit is refused with
+/// [`FlowError::NothingShipped`]; [`CostFigures::try_from_parts`]
+/// refuses costs that overflow.
 fn summarize(
     line_name: &str,
     names: &[String],
@@ -284,24 +286,17 @@ fn summarize(
             flow: line_name.to_owned(),
         });
     }
-    let mut by_category = CostVector::new();
-    for cat in CostCategory::ALL {
-        let i = cat.index();
-        by_category.book(
-            cat,
-            Money::new(totals.embodied_by_cat[i] + totals.scrap_by_cat[i]),
-        );
-    }
-    let figures = CostFigures::from_parts(
+    let figures = CostFigures::try_from_parts(
+        line_name,
         started,
         totals.shipped,
         totals.good_shipped,
-        Money::new(totals.embodied + totals.scrap_spend),
-        Money::new(totals.embodied),
-        by_category,
+        totals.embodied + totals.scrap_spend,
+        totals.embodied,
+        std::array::from_fn(|i| totals.embodied_by_cat[i] + totals.scrap_by_cat[i]),
         nre,
         volume,
-    );
+    )?;
     let report = CostReport::from_parts(
         line_name.to_owned(),
         figures,

@@ -1,6 +1,7 @@
 //! Cost reports: the paper's Eq. 1 accounting plus breakdowns.
 
 use crate::cost::{CostCategory, CostVector};
+use crate::error::FlowError;
 use ipass_units::Money;
 use std::fmt;
 use std::ops::Deref;
@@ -45,30 +46,54 @@ pub struct CostFigures {
     volume: u64,
 }
 
-#[allow(clippy::too_many_arguments)]
 impl CostFigures {
-    pub(crate) fn from_parts(
+    /// Assemble a run's figures from its sums, booking `by_category[k]`
+    /// under the category of index `k`. Both engines build their figures
+    /// here, each after its own [`FlowError::NothingShipped`] check.
+    ///
+    /// Costs that are each finite can still overflow when summed. A
+    /// total spend or category spend that is not finite is refused with
+    /// [`FlowError::NonFiniteCost`] before it reaches [`Money::new`],
+    /// which panics on NaN; so is a final cost per shipped unit that is
+    /// not finite. `flow` is read only to name the flow in the error.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn try_from_parts(
+        flow: &str,
         started: f64,
         shipped: f64,
         good_shipped: f64,
-        total_spend: Money,
-        shipped_embodied: Money,
-        by_category: CostVector,
+        total_spend: f64,
+        shipped_embodied: f64,
+        by_category: [f64; CostCategory::COUNT],
         nre: Money,
         volume: u64,
-    ) -> CostFigures {
+    ) -> Result<CostFigures, FlowError> {
         debug_assert!(shipped <= started + 1e-9);
         debug_assert!(good_shipped <= shipped + 1e-9);
-        CostFigures {
+        let overflow = || FlowError::NonFiniteCost {
+            flow: flow.to_owned(),
+        };
+        if !total_spend.is_finite() || !by_category.iter().all(|s| s.is_finite()) {
+            return Err(overflow());
+        }
+        let mut booked = CostVector::new();
+        for cat in CostCategory::ALL {
+            booked.book(cat, Money::new(by_category[cat.index()]));
+        }
+        let figures = CostFigures {
             started,
             shipped,
             good_shipped,
-            total_spend,
-            shipped_embodied,
-            by_category,
+            total_spend: Money::new(total_spend),
+            shipped_embodied: Money::new(shipped_embodied),
+            by_category: booked,
             nre,
             volume,
+        };
+        if !figures.final_cost_per_shipped().units().is_finite() {
+            return Err(overflow());
         }
+        Ok(figures)
     }
 
     /// Units started (1.0 for the analytic engine).
@@ -386,21 +411,23 @@ mod tests {
     use super::*;
 
     fn report() -> CostReport {
-        let mut cats = CostVector::new();
-        cats.book(CostCategory::Chip, Money::new(70.0));
-        cats.book(CostCategory::Test, Money::new(30.0));
+        let mut cats = [0.0; CostCategory::COUNT];
+        cats[CostCategory::Chip.index()] = 70.0;
+        cats[CostCategory::Test.index()] = 30.0;
         CostReport::from_parts(
             "t".into(),
-            CostFigures::from_parts(
+            CostFigures::try_from_parts(
+                "t",
                 1.0,
                 0.8,
                 0.79,
-                Money::new(100.0),
-                Money::new(84.0),
+                100.0,
+                84.0,
                 cats,
                 Money::new(1000.0),
                 10_000,
-            ),
+            )
+            .unwrap(),
             vec![("solder".into(), 0.15)],
         )
     }
@@ -448,16 +475,18 @@ mod tests {
 
     #[test]
     fn zero_shipped_is_safe() {
-        let r = CostFigures::from_parts(
+        let r = CostFigures::try_from_parts(
+            "t",
             1.0,
             0.0,
             0.0,
-            Money::new(10.0),
-            Money::ZERO,
-            CostVector::new(),
+            10.0,
+            0.0,
+            [0.0; CostCategory::COUNT],
             Money::ZERO,
             1,
-        );
+        )
+        .unwrap();
         assert_eq!(r.direct_cost_per_shipped(), Money::ZERO);
         assert_eq!(r.final_cost_per_shipped(), Money::ZERO);
         assert_eq!(r.escape_rate(), 0.0);

@@ -2,11 +2,11 @@
 //! Two-plane observability for the `ipass` stack.
 //!
 //! **Deterministic plane** — [`Probe`]-gated counters ([`EngineCounters`],
-//! [`ExploreStats`], [`ServeStats`], folded into [`RunStats`]) that are
-//! accumulated *inside* the engines and merged exactly like results: in
-//! chunk order, with associative operations only (`u64` adds, `min`,
-//! `max`). A `RunStats` snapshot is therefore bit-identical for any
-//! executor thread count, and its portable core ([`RunStats::invariant_core`])
+//! [`ServeStats`], folded into [`RunStats`]) that are accumulated
+//! *inside* the engines and merged exactly like results: in chunk
+//! order, with associative operations only (`u64` adds, `min`, `max`).
+//! A `RunStats` snapshot is therefore bit-identical for any executor
+//! thread count, and its portable core ([`RunStats::invariant_core`])
 //! is additionally identical across lane widths. Deterministic counters
 //! never contain a timestamp.
 //!
@@ -174,33 +174,10 @@ impl ServeStats {
     }
 }
 
-/// Deterministic counters for one explorer `refine()` pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ExploreStats {
-    /// Design points evaluated by the screening pass.
-    pub screened: u64,
-    /// Points promoted into the confirmation band.
-    pub promoted: u64,
-    /// Points confirmed with full MC runs.
-    pub confirmed: u64,
-    /// Confirmation runs that stopped early on a CI-width rule.
-    pub early_stops: u64,
-}
-
-impl ExploreStats {
-    /// Associative merge (field-wise sum).
-    pub fn merge(&mut self, other: &ExploreStats) {
-        self.screened += other.screened;
-        self.promoted += other.promoted;
-        self.confirmed += other.confirmed;
-        self.early_stops += other.early_stops;
-    }
-}
-
 /// The deterministic-plane snapshot of a run.
 ///
-/// Built from [`EngineCounters`] plus whatever explorer / patch / serve
-/// counters the caller owns. The full snapshot is bit-identical across
+/// Built from [`EngineCounters`] plus whatever patch / serve counters
+/// the caller owns. The full snapshot is bit-identical across
 /// executor thread counts; [`RunStats::invariant_core`] strips the one
 /// field that legitimately depends on kernel shape (the lane
 /// histogram), leaving a view that is also identical across lane
@@ -225,8 +202,6 @@ pub struct RunStats {
     pub sub_units_built: u64,
     /// Slot writes applied through `FlowPatch`es.
     pub patch_writes: u64,
-    /// Explorer counters, when the run went through `refine()`.
-    pub explore: ExploreStats,
     /// Server counters, when the run was driven through `ipassd`.
     pub serve: ServeStats,
 }
@@ -269,7 +244,6 @@ impl RunStats {
         self.rework_attempts += other.rework_attempts;
         self.sub_units_built += other.sub_units_built;
         self.patch_writes += other.patch_writes;
-        self.explore.merge(&other.explore);
         self.serve.merge(&other.serve);
     }
 

@@ -364,6 +364,20 @@ mod tests {
     }
 
     #[test]
+    fn area_more_than_doubles_from_5_to_60_nh() {
+        // Discrete turn counts allow local plateaus, so only the trend
+        // across the range is asserted.
+        let area = |nh: f64| {
+            SpiralInductor::synthesize(Inductance::from_nano(nh), &process())
+                .unwrap()
+                .area()
+                .mm2()
+        };
+        let (first, last) = (area(5.0), area(60.0));
+        assert!(last > 2.0 * first, "area {first} → {last}");
+    }
+
+    #[test]
     fn synthesized_inductance_matches_target() {
         for nh in [2.0, 10.0, 40.0, 100.0, 220.0] {
             let l = SpiralInductor::synthesize(Inductance::from_nano(nh), &process()).unwrap();

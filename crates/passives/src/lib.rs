@@ -48,7 +48,6 @@ mod capacitor;
 mod catalog;
 mod error;
 pub mod eseries;
-mod explore;
 mod inductor;
 mod interdigital;
 mod materials;
@@ -59,7 +58,6 @@ mod tolerance;
 pub use capacitor::MimCapacitor;
 pub use catalog::{propose, PassiveSpec, PassiveValue, Proposal, Technology};
 pub use error::SynthesisError;
-pub use explore::spiral_frontier;
 pub use inductor::SpiralInductor;
 pub use interdigital::InterdigitalCapacitor;
 pub use materials::{DielectricFilm, ResistiveFilm, ThinFilmProcess};

@@ -54,7 +54,6 @@ mod budget;
 mod complex;
 mod design;
 mod elements;
-mod explore;
 mod lowhigh;
 mod matching;
 mod montecarlo;
@@ -66,7 +65,6 @@ pub use budget::{BudgetPoint, CascadeStage, ChainBudget};
 pub use complex::Complex;
 pub use design::{bandpass, image_reject_bandpass, Approximation, BandpassDesign, ElementLosses};
 pub use elements::{Immittance, Loss};
-pub use explore::q_tradeoff_frontier;
 pub use lowhigh::{butterworth_order, chebyshev_order, group_delay, highpass, lowpass};
 pub use matching::{design_l_match, design_pi_match, LMatch, LSectionKind, PiMatch};
 pub use montecarlo::{

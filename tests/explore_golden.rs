@@ -52,7 +52,6 @@ fn refiner_reproduces_the_full_grid_frontier_with_sparse_mc() {
                 mc_units: 20_000,
                 seed: 99,
                 stop: None,
-                ..RefineOptions::default()
             },
             |coords| {
                 let mut card = base_card.clone();
@@ -107,7 +106,6 @@ fn golden_flow_exploration_is_bit_identical_across_thread_counts() {
                     mc_units: 5_000,
                     seed: 3,
                     stop: None,
-                    ..RefineOptions::default()
                 },
                 |coords| {
                     let mut card = base_card.clone();
