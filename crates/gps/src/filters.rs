@@ -1,12 +1,14 @@
 //! The GPS analog chain's filters and the §4.1 performance assessment.
 //!
-//! Three filter functions matter (Fig. 2): the LNA output band-pass at
+//! Fig. 2 has three filter functions: the LNA output band-pass at
 //! 1.575 GHz (Cauer type, must reject the 1.225 GHz image), the two IF
 //! band-passes at 175 MHz (2-pole Tchebyscheff) and the 50 Ω matching
-//! networks. Per build-up, each filter is realized with the element
-//! quality the chosen technology offers, analyzed, and scored against its
-//! spec; the solution's performance figure is the worst filter's score
-//! (the weakest link gates the receiver).
+//! networks. [`assess_performance`] scores the first two, as §4.1 does:
+//! per build-up, the LNA and IF filters are realized with the element
+//! quality the chosen technology offers, analyzed, and scored against
+//! their specs; the solution's performance figure is the worse score
+//! (the weakest link gates the receiver). The matching networks are
+//! counted in the BOM (`bom`), not scored.
 
 use ipass_core::{BuildUp, PassivePolicy};
 use ipass_rf::{

@@ -1,14 +1,16 @@
 #![forbid(unsafe_code)]
 //! Two-plane observability for the `ipass` stack.
 //!
-//! **Deterministic plane** — [`Probe`]-gated counters ([`EngineCounters`],
-//! [`ServeStats`], folded into [`RunStats`]) that are accumulated
-//! *inside* the engines and merged exactly like results: in chunk
-//! order, with associative operations only (`u64` adds, `min`, `max`).
-//! A `RunStats` snapshot is therefore bit-identical for any executor
-//! thread count, and its portable core ([`RunStats::invariant_core`])
-//! is additionally identical across lane widths. Deterministic counters
-//! never contain a timestamp.
+//! **Deterministic plane** — counters folded into [`RunStats`].
+//! [`Probe`]-gated [`EngineCounters`] are accumulated *inside* the
+//! engines and merged exactly like results: in chunk order, with
+//! associative operations only (`u64` adds, `min`, `max`). A `RunStats`
+//! snapshot is therefore bit-identical for any executor thread count,
+//! and its portable core ([`RunStats::invariant_core`]) is additionally
+//! identical across lane widths. [`ServeStats`] is not probe-gated:
+//! `ipass-serve` counts every request with relaxed atomics, and the
+//! totals are exact once the server is quiescent. Deterministic
+//! counters never contain a timestamp.
 //!
 //! **Wall-clock plane** — [`Profiler`] span scopes ([`Profiler::span`])
 //! that record real elapsed time per named phase and drain into a

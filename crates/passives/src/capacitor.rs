@@ -9,7 +9,7 @@
 use crate::error::SynthesisError;
 use crate::materials::{DielectricFilm, ThinFilmProcess};
 use crate::tolerance::Tolerance;
-use ipass_units::{Area, Capacitance, Frequency};
+use ipass_units::{Area, Capacitance};
 use std::fmt;
 
 /// Realizable capacitance range.
@@ -32,7 +32,11 @@ const MAX_FARADS: f64 = 50e-9;
 ///
 /// // A 3.3 nF decoupling capacitor on Si₃N₄ eats ≈ 33 mm² — the
 /// // "large area consumed" problem the paper highlights.
-/// let decap = MimCapacitor::synthesize_decoupling(Capacitance::from_nano(3.3), &process)?;
+/// let decap = MimCapacitor::synthesize_in_film(
+///     Capacitance::from_nano(3.3),
+///     &process,
+///     process.decoupling_film().clone(),
+/// )?;
 /// assert!(decap.area().mm2() > 30.0);
 /// # Ok::<(), ipass_passives::SynthesisError>(())
 /// ```
@@ -42,7 +46,6 @@ pub struct MimCapacitor {
     film: DielectricFilm,
     plate_side_mm: f64,
     area: Area,
-    esr_ohm: f64,
 }
 
 impl MimCapacitor {
@@ -58,20 +61,6 @@ impl MimCapacitor {
         process: &ThinFilmProcess,
     ) -> Result<MimCapacitor, SynthesisError> {
         MimCapacitor::synthesize_in_film(target, process, process.capacitor_film().clone())
-    }
-
-    /// Synthesize a decoupling capacitor in the process' bulk dielectric
-    /// (Si₃N₄ at 100 pF/mm²; robust but area-hungry).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SynthesisError`] for non-positive or out-of-range
-    /// targets.
-    pub fn synthesize_decoupling(
-        target: Capacitance,
-        process: &ThinFilmProcess,
-    ) -> Result<MimCapacitor, SynthesisError> {
-        MimCapacitor::synthesize_in_film(target, process, process.decoupling_film().clone())
     }
 
     /// Synthesize in an explicit dielectric film.
@@ -107,15 +96,11 @@ impl MimCapacitor {
         // separate pads.
         let margin_mm = process.min_space_um() * 1e-3 / 2.0;
         let side = plate_side_mm + 2.0 * margin_mm;
-        // Electrode series resistance: current crosses roughly 2/3 of a
-        // square of each plate metal.
-        let esr_ohm = process.metal_sheet_mohm_sq() * 1e-3 * (2.0 / 3.0) * 2.0;
         Ok(MimCapacitor {
             target,
             film,
             plate_side_mm,
             area: Area::from_mm2(side * side),
-            esr_ohm,
         })
     }
 
@@ -139,21 +124,9 @@ impl MimCapacitor {
         self.area
     }
 
-    /// Electrode series resistance (Ω).
-    pub fn esr_ohm(&self) -> f64 {
-        self.esr_ohm
-    }
-
     /// The capacitance tolerance class (dielectric variation).
     pub fn tolerance(&self) -> Tolerance {
         self.film.tolerance()
-    }
-
-    /// Quality factor at `f`: dielectric loss in parallel with electrode
-    /// ESR, `1/Q = tan δ + ω·C·ESR`.
-    pub fn q_factor(&self, f: Frequency) -> f64 {
-        let inv_q = self.film.loss_tangent() + f.angular() * self.target.farads() * self.esr_ohm;
-        1.0 / inv_q
     }
 }
 
@@ -192,8 +165,12 @@ mod tests {
     #[test]
     fn decap_area_is_huge() {
         // 3.3 nF at 100 pF/mm² ≈ 33 mm² plate — the decap problem.
-        let c =
-            MimCapacitor::synthesize_decoupling(Capacitance::from_nano(3.3), &process()).unwrap();
+        let c = MimCapacitor::synthesize_in_film(
+            Capacitance::from_nano(3.3),
+            &process(),
+            DielectricFilm::si3n4(),
+        )
+        .unwrap();
         assert!((c.area().mm2() - 33.0).abs() < 1.0, "area {}", c.area());
         // Compare: an 0805 SMD footprint is 4.5 mm².
         assert!(c.area().mm2() > 7.0 * 4.5);
@@ -202,8 +179,12 @@ mod tests {
     #[test]
     fn density_quote_10nf_per_cm2() {
         // 10 nF in Si₃N₄ should take ≈ 1 cm².
-        let c =
-            MimCapacitor::synthesize_decoupling(Capacitance::from_nano(10.0), &process()).unwrap();
+        let c = MimCapacitor::synthesize_in_film(
+            Capacitance::from_nano(10.0),
+            &process(),
+            DielectricFilm::si3n4(),
+        )
+        .unwrap();
         assert!((c.area().cm2() - 1.0).abs() < 0.05, "area {}", c.area());
     }
 
@@ -221,17 +202,6 @@ mod tests {
             MimCapacitor::synthesize(Capacitance::from_micro(1.0), &process()),
             Err(SynthesisError::OutOfRange { .. })
         ));
-    }
-
-    #[test]
-    fn q_decreases_with_frequency() {
-        let c = MimCapacitor::synthesize(Capacitance::from_pico(50.0), &process()).unwrap();
-        let q_if = c.q_factor(Frequency::from_mega(175.0));
-        let q_rf = c.q_factor(Frequency::from_giga(1.575));
-        assert!(q_if > q_rf);
-        // Dielectric-loss bound: Q ≤ 1/tan δ = 100 for BaTiO.
-        assert!(q_if <= 100.0 + 1e-9);
-        assert!(q_rf > 20.0);
     }
 
     #[test]
@@ -264,12 +234,5 @@ mod tests {
             prop_assert!(ratio > 1.6 && ratio < 2.05, "ratio {}", ratio);
         }
 
-        #[test]
-        fn q_is_positive_and_bounded(pf in 1.0f64..5000.0, mhz in 1.0f64..3000.0) {
-            let p = process();
-            let c = MimCapacitor::synthesize(Capacitance::from_pico(pf), &p).unwrap();
-            let q = c.q_factor(Frequency::from_mega(mhz));
-            prop_assert!(q > 0.0 && q <= 1.0 / c.film().loss_tangent() + 1e-9);
-        }
     }
 }

@@ -1,7 +1,7 @@
 //! IEC 60063 preferred number series (E3…E96) for component values.
 //!
-//! Real BOMs use preferred values; the workload generators snap nominal
-//! filter element values to a series to model realizable designs.
+//! Real BOMs use preferred values; [`ESeries::snap`] rounds a nominal
+//! value to the nearest one of a series.
 //!
 //! # Examples
 //!
@@ -51,19 +51,6 @@ impl ESeries {
             ESeries::E24 => 24,
             ESeries::E48 => 48,
             ESeries::E96 => 96,
-        }
-    }
-
-    /// The tolerance class conventionally paired with this series, as a
-    /// fraction.
-    pub fn tolerance_fraction(self) -> f64 {
-        match self {
-            ESeries::E3 => 0.40,
-            ESeries::E6 => 0.20,
-            ESeries::E12 => 0.10,
-            ESeries::E24 => 0.05,
-            ESeries::E48 => 0.02,
-            ESeries::E96 => 0.01,
         }
     }
 
@@ -120,12 +107,6 @@ impl ESeries {
         }
         best * decade
     }
-
-    /// The worst-case relative snapping error of this series (half a
-    /// geometric step).
-    pub fn max_snap_error(self) -> f64 {
-        10f64.powf(0.5 / self.steps() as f64) - 1.0
-    }
 }
 
 #[cfg(test)]
@@ -178,21 +159,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn snap_rejects_zero() {
         let _ = ESeries::E12.snap(0.0);
-    }
-
-    #[test]
-    fn tolerance_classes_are_monotone() {
-        let series = [
-            ESeries::E3,
-            ESeries::E6,
-            ESeries::E12,
-            ESeries::E24,
-            ESeries::E48,
-            ESeries::E96,
-        ];
-        for w in series.windows(2) {
-            assert!(w[0].tolerance_fraction() > w[1].tolerance_fraction());
-        }
     }
 
     proptest! {

@@ -13,7 +13,6 @@
 
 use crate::error::SynthesisError;
 use crate::materials::ThinFilmProcess;
-use crate::tolerance::Tolerance;
 use ipass_units::{Area, Frequency, Inductance};
 use std::fmt;
 
@@ -262,11 +261,6 @@ impl SpiralInductor {
         Area::rect_mm(side, side)
     }
 
-    /// Geometry-defined value tolerance (lithography is tight: ±5 %).
-    pub fn tolerance(&self) -> Tolerance {
-        Tolerance::percent(5.0)
-    }
-
     /// AC series resistance at `f`: DC resistance × skin-effect rise ×
     /// substrate-loss factor.
     pub fn ac_resistance_ohm(&self, f: Frequency) -> f64 {
@@ -290,22 +284,6 @@ impl SpiralInductor {
     pub fn self_resonance(&self) -> Frequency {
         let c = self.parasitic_pf * 1e-12;
         Frequency::new(1.0 / (2.0 * std::f64::consts::PI * (self.target.henries() * c).sqrt()))
-    }
-
-    /// Effective inductance at `f`, rising toward self-resonance.
-    ///
-    /// # Panics
-    ///
-    /// Panics at or above the self-resonant frequency, where the spiral
-    /// is no longer usable as an inductor.
-    pub fn effective_inductance(&self, f: Frequency) -> Inductance {
-        let ratio = f.hertz() / self.self_resonance().hertz();
-        assert!(
-            ratio < 1.0,
-            "operating frequency {f} is beyond self-resonance {}",
-            self.self_resonance()
-        );
-        Inductance::new(self.target.henries() / (1.0 - ratio * ratio))
     }
 
     /// Quality factor at `f`: `ωL/R_ac`, derated by the self-resonance
@@ -433,15 +411,6 @@ mod tests {
     fn self_resonance_is_above_operating_band() {
         let l = SpiralInductor::synthesize(Inductance::from_nano(40.0), &process()).unwrap();
         assert!(l.self_resonance().gigahertz() > 2.0);
-        let leff = l.effective_inductance(Frequency::from_giga(1.575));
-        assert!(leff.henries() > l.inductance().henries());
-    }
-
-    #[test]
-    #[should_panic(expected = "beyond self-resonance")]
-    fn effective_inductance_panics_past_srf() {
-        let l = SpiralInductor::synthesize(Inductance::from_nano(500.0), &process()).unwrap();
-        let _ = l.effective_inductance(Frequency::from_giga(20.0));
     }
 
     #[test]

@@ -1,19 +1,22 @@
-//! Passive component models: SMD catalog and thin-film integrated
+//! Passive component models: SMD case sizes and thin-film integrated
 //! passives.
 //!
 //! This crate provides the component-level substrate of the
 //! integrated-passives methodology:
 //!
-//! * an SMD catalog with *pure component* vs *footprint* areas (the
-//!   paper's Fig. 1 argument: bodies shrink, mounting overhead does not),
+//! * [SMD case sizes](SmdSize) with *pure component* vs *footprint* areas
+//!   (the paper's Fig. 1 argument: bodies shrink, mounting overhead does
+//!   not),
 //! * [E-series](eseries) preferred value snapping,
-//! * thin-film [materials](ThinFilmProcess) (CrSi/NiCr resistive layers,
-//!   Si₃N₄ and BaTiO dielectrics, the SUMMIT-style MCM-D metal stack),
+//! * the thin-film [process card](ThinFilmProcess) (the CrSi resistive
+//!   layer, Si₃N₄ and BaTiO dielectrics, the SUMMIT-style MCM-D metal
+//!   stack),
 //! * synthesis of integrated components from target values:
 //!   [meander resistors](ThinFilmResistor), [MIM capacitors](MimCapacitor)
 //!   and [square spiral inductors](SpiralInductor) with inductance,
 //!   conductor-loss Q(f) and self-resonance models,
-//! * [tolerance](Tolerance) models including laser trimming.
+//! * [tolerance](Tolerance) classes with truncated-normal value sampling
+//!   for Monte Carlo.
 //!
 //! The synthesized areas reproduce the paper's Table 1 anchors: a 100 kΩ
 //! CrSi resistor occupies ≈ 0.25 mm², a 50 pF capacitor ≈ 0.3 mm² and a
@@ -45,22 +48,18 @@
 #![warn(missing_debug_implementations)]
 
 mod capacitor;
-mod catalog;
 mod error;
 pub mod eseries;
 mod inductor;
-mod interdigital;
 mod materials;
 mod resistor;
 mod smd;
 mod tolerance;
 
 pub use capacitor::MimCapacitor;
-pub use catalog::{propose, PassiveSpec, PassiveValue, Proposal, Technology};
 pub use error::SynthesisError;
 pub use inductor::SpiralInductor;
-pub use interdigital::InterdigitalCapacitor;
 pub use materials::{DielectricFilm, ResistiveFilm, ThinFilmProcess};
 pub use resistor::ThinFilmResistor;
-pub use smd::{smd_area_series, SmdKind, SmdSize};
-pub use tolerance::{Tolerance, TrimState};
+pub use smd::{smd_area_series, SmdSize};
+pub use tolerance::Tolerance;

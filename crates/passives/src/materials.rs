@@ -2,7 +2,7 @@
 //!
 //! Models the MCM-D(Si) thin-film technology of the SUMMIT project: the
 //! passives use the same process steps as the metal interconnections —
-//! sputtered resistive layers (CrSi, NiCr), dielectric sandwiches
+//! a sputtered resistive layer (CrSi), dielectric sandwiches
 //! (Si₃N₄, BaTiO-class high-κ) and spiral inductors in the interconnect
 //! metal.
 
@@ -25,7 +25,6 @@ pub struct ResistiveFilm {
     name: &'static str,
     sheet_ohm_sq: f64,
     as_fabricated: Tolerance,
-    trimmed: Tolerance,
 }
 
 impl ResistiveFilm {
@@ -35,27 +34,6 @@ impl ResistiveFilm {
             name: "CrSi",
             sheet_ohm_sq: 360.0,
             as_fabricated: Tolerance::percent(15.0),
-            trimmed: Tolerance::percent(1.0),
-        }
-    }
-
-    /// NiCr, 100 Ω/sq — lower sheet resistance, better stability.
-    pub fn ni_cr() -> ResistiveFilm {
-        ResistiveFilm {
-            name: "NiCr",
-            sheet_ohm_sq: 100.0,
-            as_fabricated: Tolerance::percent(10.0),
-            trimmed: Tolerance::percent(0.5),
-        }
-    }
-
-    /// TaN, 25 Ω/sq — for low-value precision resistors.
-    pub fn ta_n() -> ResistiveFilm {
-        ResistiveFilm {
-            name: "TaN",
-            sheet_ohm_sq: 25.0,
-            as_fabricated: Tolerance::percent(10.0),
-            trimmed: Tolerance::percent(0.5),
         }
     }
 
@@ -72,11 +50,6 @@ impl ResistiveFilm {
     /// Tolerance class as deposited (paper: "about ±15 %").
     pub fn as_fabricated_tolerance(&self) -> Tolerance {
         self.as_fabricated
-    }
-
-    /// Tolerance class after laser trimming (paper: "below 1 %").
-    pub fn trimmed_tolerance(&self) -> Tolerance {
-        self.trimmed
     }
 }
 
@@ -102,7 +75,6 @@ pub struct DielectricFilm {
     name: &'static str,
     density_pf_mm2: f64,
     tolerance: Tolerance,
-    loss_tangent: f64,
 }
 
 impl DielectricFilm {
@@ -113,7 +85,6 @@ impl DielectricFilm {
             name: "Si3N4",
             density_pf_mm2: 100.0,
             tolerance: Tolerance::percent(10.0),
-            loss_tangent: 0.002,
         }
     }
 
@@ -124,7 +95,6 @@ impl DielectricFilm {
             name: "BaTiO",
             density_pf_mm2: 180.0,
             tolerance: Tolerance::percent(15.0),
-            loss_tangent: 0.01,
         }
     }
 
@@ -141,16 +111,6 @@ impl DielectricFilm {
     /// Capacitance tolerance class (thickness/κ variation).
     pub fn tolerance(&self) -> Tolerance {
         self.tolerance
-    }
-
-    /// Dielectric loss tangent (tan δ) at RF.
-    pub fn loss_tangent(&self) -> f64 {
-        self.loss_tangent
-    }
-
-    /// Capacitor quality factor from dielectric loss alone: `1 / tan δ`.
-    pub fn q_factor(&self) -> f64 {
-        1.0 / self.loss_tangent
     }
 }
 
@@ -201,24 +161,6 @@ impl ThinFilmProcess {
             capacitor_film: DielectricFilm::ba_ti_o(),
             decoupling_film: DielectricFilm::si3n4(),
             substrate_loss_factor: 1.35,
-        }
-    }
-
-    /// A coarser, cheaper polyimide-on-laminate thin-film process
-    /// (Lenihan et al. style flexible-film passives) for comparison
-    /// studies.
-    pub fn polyimide_flex() -> ThinFilmProcess {
-        ThinFilmProcess {
-            name: "polyimide flex",
-            min_line_um: 50.0,
-            min_space_um: 50.0,
-            contact_pad_um: 120.0,
-            metal_sheet_mohm_sq: 3.5,
-            metal_thickness_um: 9.0,
-            resistor_film: ResistiveFilm::ni_cr(),
-            capacitor_film: DielectricFilm::si3n4(),
-            decoupling_film: DielectricFilm::si3n4(),
-            substrate_loss_factor: 1.15,
         }
     }
 
@@ -273,18 +215,6 @@ impl ThinFilmProcess {
     pub fn substrate_loss_factor(&self) -> f64 {
         self.substrate_loss_factor
     }
-
-    /// Replace the resistor film (builder-style customization).
-    pub fn with_resistor_film(mut self, film: ResistiveFilm) -> ThinFilmProcess {
-        self.resistor_film = film;
-        self
-    }
-
-    /// Replace the RF capacitor film.
-    pub fn with_capacitor_film(mut self, film: DielectricFilm) -> ThinFilmProcess {
-        self.capacitor_film = film;
-        self
-    }
 }
 
 impl Default for ThinFilmProcess {
@@ -311,29 +241,21 @@ mod tests {
     fn paper_quoted_values() {
         // "with a specific resistance of 360 Ω/sq (CrSi)".
         assert_eq!(ResistiveFilm::cr_si().sheet_resistance_ohm_sq(), 360.0);
-        // "Tolerances are about 15 %, with laser tuning values below 1 %".
+        // "Tolerances are about 15 %".
         assert_eq!(
             ResistiveFilm::cr_si().as_fabricated_tolerance(),
             Tolerance::percent(15.0)
         );
-        assert!(ResistiveFilm::cr_si()
-            .trimmed_tolerance()
-            .satisfies(Tolerance::percent(1.0)));
         // "capacitors up to 100 pF/mm² (10 nF/cm²)".
         assert_eq!(DielectricFilm::si3n4().density_pf_mm2(), 100.0);
     }
 
     #[test]
-    fn q_from_loss_tangent() {
-        assert!((DielectricFilm::si3n4().q_factor() - 500.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn process_accessors_and_builders() {
-        let p = ThinFilmProcess::summit_mcm_d().with_resistor_film(ResistiveFilm::ni_cr());
-        assert_eq!(p.resistor_film().name(), "NiCr");
-        let p = p.with_capacitor_film(DielectricFilm::si3n4());
-        assert_eq!(p.capacitor_film().name(), "Si3N4");
+    fn process_accessors() {
+        let p = ThinFilmProcess::summit_mcm_d();
+        assert_eq!(p.resistor_film().name(), "CrSi");
+        assert_eq!(p.capacitor_film().name(), "BaTiO");
+        assert_eq!(p.decoupling_film().name(), "Si3N4");
         assert!(p.substrate_loss_factor() >= 1.0);
         assert_eq!(ThinFilmProcess::default(), ThinFilmProcess::summit_mcm_d());
     }
@@ -345,13 +267,5 @@ mod tests {
         assert!(ThinFilmProcess::summit_mcm_d()
             .to_string()
             .contains("SUMMIT"));
-    }
-
-    #[test]
-    fn alternative_processes_differ() {
-        let a = ThinFilmProcess::summit_mcm_d();
-        let b = ThinFilmProcess::polyimide_flex();
-        assert!(b.min_line_um() > a.min_line_um());
-        assert_ne!(a, b);
     }
 }

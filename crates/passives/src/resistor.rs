@@ -6,7 +6,7 @@
 
 use crate::error::SynthesisError;
 use crate::materials::ThinFilmProcess;
-use crate::tolerance::{Tolerance, TrimState};
+use crate::tolerance::Tolerance;
 use ipass_units::{Area, Resistance};
 use std::fmt;
 
@@ -45,9 +45,7 @@ pub struct ThinFilmResistor {
     legs: u32,
     leg_length_um: f64,
     area: Area,
-    trim: TrimState,
-    as_fabricated: Tolerance,
-    trimmed: Tolerance,
+    tolerance: Tolerance,
 }
 
 impl ThinFilmResistor {
@@ -145,17 +143,8 @@ impl ThinFilmResistor {
             legs,
             leg_length_um,
             area: Area::from_mm2(area_mm2),
-            trim: TrimState::AsFabricated,
-            as_fabricated: film.as_fabricated_tolerance(),
-            trimmed: film.trimmed_tolerance(),
+            tolerance: film.as_fabricated_tolerance(),
         })
-    }
-
-    /// Mark the resistor as laser-trimmed (tightens the tolerance to the
-    /// film's trimmed class).
-    pub fn with_trim(mut self) -> ThinFilmResistor {
-        self.trim = TrimState::LaserTrimmed;
-        self
     }
 
     /// The target resistance.
@@ -188,17 +177,9 @@ impl ThinFilmResistor {
         self.area
     }
 
-    /// The trim state.
-    pub fn trim_state(&self) -> TrimState {
-        self.trim
-    }
-
-    /// The effective tolerance in the current trim state.
+    /// The as-fabricated tolerance class of the resistive film.
     pub fn tolerance(&self) -> Tolerance {
-        match self.trim {
-            TrimState::AsFabricated => self.as_fabricated,
-            TrimState::LaserTrimmed => self.trimmed,
-        }
+        self.tolerance
     }
 }
 
@@ -253,15 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn trim_changes_tolerance_class() {
-        let r = ThinFilmResistor::synthesize(Resistance::from_kilo(10.0), &process()).unwrap();
-        assert_eq!(r.tolerance(), Tolerance::percent(15.0));
-        let trimmed = r.with_trim();
-        assert_eq!(trimmed.trim_state(), TrimState::LaserTrimmed);
-        assert!(trimmed.tolerance().satisfies(Tolerance::percent(1.0)));
-    }
-
-    #[test]
     fn wider_lines_take_more_area() {
         let narrow =
             ThinFilmResistor::synthesize_with_width(Resistance::from_kilo(10.0), &process(), 20.0)
@@ -290,16 +262,6 @@ mod tests {
             ThinFilmResistor::synthesize_with_width(Resistance::new(200.0), &process(), 5.0),
             Err(SynthesisError::OutOfRange { .. })
         ));
-    }
-
-    #[test]
-    fn nicr_needs_more_squares_for_same_value() {
-        let crsi = ThinFilmResistor::synthesize(Resistance::from_kilo(10.0), &process()).unwrap();
-        let nicr_process = process().with_resistor_film(crate::materials::ResistiveFilm::ni_cr());
-        let nicr =
-            ThinFilmResistor::synthesize(Resistance::from_kilo(10.0), &nicr_process).unwrap();
-        assert!(nicr.squares() > crsi.squares());
-        assert!(nicr.area().mm2() > crsi.area().mm2());
     }
 
     #[test]

@@ -70,11 +70,6 @@ impl SmdSize {
         })
     }
 
-    /// Mounting overhead: footprint minus body.
-    pub fn mounting_overhead(self) -> Area {
-        self.footprint_area() - self.body_area()
-    }
-
     /// The industry case code (e.g. `"0603"`).
     pub fn code(self) -> &'static str {
         match self {
@@ -86,61 +81,11 @@ impl SmdSize {
             SmdSize::I0201 => "0201",
         }
     }
-
-    /// Parse a case code.
-    pub fn from_code(code: &str) -> Option<SmdSize> {
-        SmdSize::ALL.iter().copied().find(|s| s.code() == code)
-    }
 }
 
 impl fmt::Display for SmdSize {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.code())
-    }
-}
-
-/// The component families available as SMD chips.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SmdKind {
-    /// Thick-film chip resistor.
-    Resistor,
-    /// Multilayer ceramic capacitor.
-    Capacitor,
-    /// Wire-wound or multilayer chip inductor.
-    Inductor,
-}
-
-impl SmdKind {
-    /// Typical purchase price in the paper's cost units (late-1990s
-    /// volume pricing; used by the example workloads, not by the Table 2
-    /// reproduction which takes the paper's aggregate figures).
-    pub fn typical_unit_price(self, size: SmdSize) -> f64 {
-        let base = match self {
-            SmdKind::Resistor => 0.02,
-            SmdKind::Capacitor => 0.03,
-            SmdKind::Inductor => 0.15,
-        };
-        // Very large and very small cases both carry a premium.
-        let factor = match size {
-            SmdSize::I2512 => 2.0,
-            SmdSize::I1206 => 1.2,
-            SmdSize::I0805 => 1.0,
-            SmdSize::I0603 => 1.0,
-            SmdSize::I0402 => 1.5,
-            SmdSize::I0201 => 2.5,
-        };
-        base * factor
-    }
-
-    /// Typical unloaded Q of the component family at RF, for the given
-    /// case size (wire-wound 0603 inductors reach Q ≈ 45–60; chip
-    /// capacitors are much better than inductors).
-    pub fn typical_q(self) -> f64 {
-        match self {
-            SmdKind::Resistor => f64::INFINITY, // not resonant; unused
-            SmdKind::Capacitor => 200.0,
-            SmdKind::Inductor => 45.0,
-        }
     }
 }
 
@@ -198,8 +143,9 @@ mod tests {
     fn overhead_saturates_at_small_sizes() {
         // Fig. 1's argument: overhead is roughly constant ≈ 2 mm² for
         // small parts, so footprint stops shrinking.
-        let o_0402 = SmdSize::I0402.mounting_overhead().mm2();
-        let o_0201 = SmdSize::I0201.mounting_overhead().mm2();
+        let overhead = |s: SmdSize| s.footprint_area().mm2() - s.body_area().mm2();
+        let o_0402 = overhead(SmdSize::I0402);
+        let o_0201 = overhead(SmdSize::I0201);
         assert!((o_0402 - o_0201).abs() < 0.3);
         assert!(o_0201 > 1.5);
     }
@@ -207,10 +153,10 @@ mod tests {
     #[test]
     fn codes_roundtrip() {
         for s in SmdSize::ALL {
-            assert_eq!(SmdSize::from_code(s.code()), Some(s));
+            let found = SmdSize::ALL.into_iter().find(|t| t.code() == s.code());
+            assert_eq!(found, Some(s));
             assert_eq!(s.to_string(), s.code());
         }
-        assert_eq!(SmdSize::from_code("9999"), None);
     }
 
     #[test]
@@ -221,23 +167,5 @@ mod tests {
             assert!(w[0].1.mm2() > w[1].1.mm2());
             assert!(w[0].2.mm2() > w[1].2.mm2());
         }
-    }
-
-    #[test]
-    fn prices_are_positive_and_premiums_apply() {
-        for kind in [SmdKind::Resistor, SmdKind::Capacitor, SmdKind::Inductor] {
-            for size in SmdSize::ALL {
-                assert!(kind.typical_unit_price(size) > 0.0);
-            }
-        }
-        assert!(
-            SmdKind::Resistor.typical_unit_price(SmdSize::I0201)
-                > SmdKind::Resistor.typical_unit_price(SmdSize::I0603)
-        );
-    }
-
-    #[test]
-    fn inductors_have_modest_q() {
-        assert!(SmdKind::Inductor.typical_q() < SmdKind::Capacitor.typical_q());
     }
 }

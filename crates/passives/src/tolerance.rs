@@ -3,19 +3,6 @@
 use ipass_sim::SimRng;
 use std::fmt;
 
-/// Whether an integrated resistor has been laser-trimmed.
-///
-/// The paper: "Tolerances are about ±15 %, with laser tuning values below
-/// 1 % have been achieved."
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum TrimState {
-    /// As deposited (±15 % class).
-    #[default]
-    AsFabricated,
-    /// Laser trimmed (±1 % class); adds trim cost/time.
-    LaserTrimmed,
-}
-
 /// A symmetric relative tolerance, e.g. `Tolerance::percent(15.0)` for
 /// ±15 %.
 ///
@@ -36,9 +23,6 @@ pub enum TrimState {
 pub struct Tolerance(f64);
 
 impl Tolerance {
-    /// Exact value (±0 %).
-    pub const EXACT: Tolerance = Tolerance(0.0);
-
     /// Create from a percentage (`15.0` → ±15 %).
     ///
     /// # Panics
@@ -50,19 +34,6 @@ impl Tolerance {
             "tolerance must be a non-negative percentage, got {percent}"
         );
         Tolerance(percent / 100.0)
-    }
-
-    /// Create from a fraction (`0.15` → ±15 %).
-    ///
-    /// # Panics
-    ///
-    /// Panics on negative or non-finite fractions.
-    pub fn fraction_of(fraction: f64) -> Tolerance {
-        assert!(
-            fraction.is_finite() && fraction >= 0.0,
-            "tolerance must be a non-negative fraction, got {fraction}"
-        );
-        Tolerance(fraction)
     }
 
     /// The tolerance as a fraction (±0.15 for ±15 %).
@@ -84,21 +55,6 @@ impl Tolerance {
     pub fn contains(self, nominal: f64, actual: f64) -> bool {
         let (lo, hi) = self.bounds(nominal);
         (lo..=hi).contains(&actual)
-    }
-
-    /// Whether this tolerance class satisfies a requirement (is at least
-    /// as tight).
-    pub fn satisfies(self, required: Tolerance) -> bool {
-        self.0 <= required.0 + 1e-12
-    }
-
-    /// Sample a value uniformly within the tolerance band.
-    pub fn sample_uniform(self, nominal: f64, rng: &mut SimRng) -> f64 {
-        if self.0 == 0.0 {
-            return nominal;
-        }
-        let (lo, hi) = self.bounds(nominal);
-        rng.range_f64(lo.min(hi), hi.max(lo))
     }
 
     /// Sample a value from a truncated normal distribution whose ±3σ
@@ -141,20 +97,12 @@ mod tests {
         let t = Tolerance::percent(1.0);
         assert!((t.fraction() - 0.01).abs() < 1e-15);
         assert!((t.percent_value() - 1.0).abs() < 1e-12);
-        assert_eq!(Tolerance::fraction_of(0.15), Tolerance::percent(15.0));
     }
 
     #[test]
     #[should_panic(expected = "non-negative")]
     fn negative_tolerance_rejected() {
         let _ = Tolerance::percent(-5.0);
-    }
-
-    #[test]
-    fn satisfies_is_tighter_or_equal() {
-        assert!(Tolerance::percent(1.0).satisfies(Tolerance::percent(15.0)));
-        assert!(Tolerance::percent(15.0).satisfies(Tolerance::percent(15.0)));
-        assert!(!Tolerance::percent(15.0).satisfies(Tolerance::percent(1.0)));
     }
 
     #[test]
@@ -166,8 +114,7 @@ mod tests {
     #[test]
     fn exact_sampling_is_identity() {
         let mut rng = SimRng::from_seed(1);
-        assert_eq!(Tolerance::EXACT.sample_uniform(42.0, &mut rng), 42.0);
-        assert_eq!(Tolerance::EXACT.sample_normal(42.0, &mut rng), 42.0);
+        assert_eq!(Tolerance::percent(0.0).sample_normal(42.0, &mut rng), 42.0);
     }
 
     #[test]
@@ -192,20 +139,7 @@ mod tests {
         assert!((0.6..0.76).contains(&frac), "one-sigma fraction {frac}");
     }
 
-    #[test]
-    fn trim_state_default() {
-        assert_eq!(TrimState::default(), TrimState::AsFabricated);
-    }
-
     proptest! {
-        #[test]
-        fn uniform_samples_stay_in_band(pct in 0.0f64..50.0, nominal in 0.001f64..1e6, seed in 0u64..1000) {
-            let t = Tolerance::percent(pct);
-            let mut rng = SimRng::from_seed(seed);
-            let v = t.sample_uniform(nominal, &mut rng);
-            prop_assert!(t.contains(nominal, v * (1.0 - 1e-12) + 0.0));
-        }
-
         #[test]
         fn bounds_are_symmetric(pct in 0.0f64..100.0, nominal in 0.001f64..1e6) {
             let t = Tolerance::percent(pct);

@@ -233,85 +233,6 @@ impl fmt::Display for Complex {
     }
 }
 
-/// A complex value paired with its derivative with respect to angular
-/// frequency ω — a forward-mode dual number over [`Complex`].
-///
-/// Propagating one of these through the ladder's ABCD cascade yields
-/// the exact frequency derivative of any network function in a single
-/// evaluation, which is how `group_delay` gets the phase slope of S21
-/// without a finite-difference step.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct DualComplex {
-    /// The value at ω.
-    pub(crate) val: Complex,
-    /// The derivative d(val)/dω.
-    pub(crate) dw: Complex,
-}
-
-impl DualComplex {
-    pub(crate) const ZERO: DualComplex = DualComplex {
-        val: Complex::ZERO,
-        dw: Complex::ZERO,
-    };
-
-    /// A frequency-independent value (zero derivative).
-    pub(crate) fn constant(val: Complex) -> DualComplex {
-        DualComplex {
-            val,
-            dw: Complex::ZERO,
-        }
-    }
-
-    pub(crate) fn new(val: Complex, dw: Complex) -> DualComplex {
-        DualComplex { val, dw }
-    }
-
-    /// Reciprocal with the same exact-zero guard as the element layer's
-    /// `safe_recip`: a short maps to a huge finite admittance whose
-    /// derivative is pinned to zero (the guard value is a constant).
-    pub(crate) fn safe_recip(self) -> DualComplex {
-        if self.val.norm_sqr() == 0.0 {
-            return DualComplex::constant(Complex::real(1e30));
-        }
-        let inv = self.val.recip();
-        // d(1/z)/dω = −z′/z².
-        DualComplex {
-            val: inv,
-            dw: -(inv * inv) * self.dw,
-        }
-    }
-}
-
-impl Add for DualComplex {
-    type Output = DualComplex;
-    fn add(self, rhs: DualComplex) -> DualComplex {
-        DualComplex {
-            val: self.val + rhs.val,
-            dw: self.dw + rhs.dw,
-        }
-    }
-}
-
-impl Mul for DualComplex {
-    type Output = DualComplex;
-    fn mul(self, rhs: DualComplex) -> DualComplex {
-        DualComplex {
-            val: self.val * rhs.val,
-            dw: self.dw * rhs.val + self.val * rhs.dw,
-        }
-    }
-}
-
-impl Mul<Complex> for DualComplex {
-    type Output = DualComplex;
-    fn mul(self, rhs: Complex) -> DualComplex {
-        DualComplex {
-            val: self.val * rhs,
-            dw: self.dw * rhs,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,7 +1,7 @@
 //! Circuit elements with loss models, composable into one-port
 //! immittances.
 
-use crate::complex::{Complex, DualComplex};
+use crate::complex::Complex;
 use ipass_units::{Capacitance, Frequency, Inductance, Resistance};
 use std::fmt;
 
@@ -35,17 +35,6 @@ impl Loss {
                 r
             }
         }
-    }
-
-    /// The series resistance together with its ω-derivative, given the
-    /// reactance `x` and its derivative `dx` (d|x|/dω = sign(x)·dx).
-    fn series_r_dw(self, x: f64, dx: f64) -> (f64, f64) {
-        let r = self.series_r(x);
-        let dr = match self {
-            Loss::Ideal | Loss::SeriesR(_) => 0.0,
-            Loss::Q(q) => (if x < 0.0 { -dx } else { dx }) / q,
-        };
-        (r, dr)
     }
 }
 
@@ -91,11 +80,6 @@ pub enum Immittance {
 }
 
 impl Immittance {
-    /// An ideal resistor.
-    pub fn resistor(r: Resistance) -> Immittance {
-        Immittance::Resistor(r)
-    }
-
     /// An inductor with the given loss model.
     pub fn inductor(l: Inductance, loss: Loss) -> Immittance {
         Immittance::Inductor { henries: l, loss }
@@ -151,48 +135,6 @@ impl Immittance {
     /// admittance so downstream matrix algebra stays NaN-free.
     pub fn admittance(&self, f: Frequency) -> Complex {
         safe_recip(self.impedance(f))
-    }
-
-    /// The impedance at `f` together with its exact derivative with
-    /// respect to angular frequency, propagated as a dual number.
-    ///
-    /// The value component follows the same arithmetic as
-    /// [`Immittance::impedance`]; the derivative applies the chain rule
-    /// per element: `d(ωL)/dω = L`, `d(−1/(ωC))/dω = 1/(ω²C)`, and for
-    /// a constant-Q loss the series resistance tracks `|x|/Q`.
-    pub(crate) fn impedance_dw(&self, f: Frequency) -> DualComplex {
-        let w = f.angular();
-        match self {
-            Immittance::Resistor(r) => DualComplex::constant(Complex::real(r.ohms())),
-            Immittance::Inductor { henries, loss } => {
-                let l = henries.henries();
-                let x = w * l;
-                let (r, dr) = loss.series_r_dw(x, l);
-                DualComplex::new(Complex::new(r, x), Complex::new(dr, l))
-            }
-            Immittance::Capacitor { farads, loss } => {
-                let c = farads.farads();
-                let x = -1.0 / (w * c);
-                let dx = 1.0 / (w * w * c);
-                let (r, dr) = loss.series_r_dw(x, dx);
-                DualComplex::new(Complex::new(r, x), Complex::new(dr, dx))
-            }
-            Immittance::Series(parts) => parts
-                .iter()
-                .fold(DualComplex::ZERO, |acc, p| acc + p.impedance_dw(f)),
-            Immittance::Parallel(parts) => {
-                let y = parts.iter().fold(DualComplex::ZERO, |acc, p| {
-                    acc + p.impedance_dw(f).safe_recip()
-                });
-                y.safe_recip()
-            }
-        }
-    }
-
-    /// The admittance dual at `f` — [`Immittance::impedance_dw`] through
-    /// the NaN-free reciprocal.
-    pub(crate) fn admittance_dw(&self, f: Frequency) -> DualComplex {
-        self.impedance_dw(f).safe_recip()
     }
 
     /// Count of primitive R/L/C elements (for BOM accounting).
@@ -264,7 +206,7 @@ mod tests {
 
     #[test]
     fn resistor_is_flat() {
-        let r = Immittance::resistor(Resistance::new(50.0));
+        let r = Immittance::Resistor(Resistance::new(50.0));
         assert_eq!(r.impedance(f(1.0)), Complex::real(50.0));
         assert_eq!(r.impedance(f(1000.0)), Complex::real(50.0));
         let _ = F1; // silence unused in case of cfg changes
@@ -323,10 +265,10 @@ mod tests {
     fn series_parallel_compose() {
         // 50Ω + (100Ω ∥ 100Ω) = 100Ω.
         let net = Immittance::series(vec![
-            Immittance::resistor(Resistance::new(50.0)),
+            Immittance::Resistor(Resistance::new(50.0)),
             Immittance::parallel(vec![
-                Immittance::resistor(Resistance::new(100.0)),
-                Immittance::resistor(Resistance::new(100.0)),
+                Immittance::Resistor(Resistance::new(100.0)),
+                Immittance::Resistor(Resistance::new(100.0)),
             ]),
         ]);
         assert!((net.impedance(f(10.0)).re - 100.0).abs() < 1e-9);
@@ -353,7 +295,7 @@ mod tests {
     #[test]
     fn display_renders_topology() {
         let net = Immittance::series(vec![
-            Immittance::resistor(Resistance::new(50.0)),
+            Immittance::Resistor(Resistance::new(50.0)),
             Immittance::parallel(vec![
                 Immittance::inductor(Inductance::from_nano(40.0), Loss::Ideal),
                 Immittance::capacitor(Capacitance::from_pico(10.0), Loss::Ideal),
@@ -366,7 +308,7 @@ mod tests {
     proptest! {
         #[test]
         fn admittance_is_reciprocal(r in 1.0f64..1e4, mhz in 1.0f64..1e3) {
-            let net = Immittance::resistor(Resistance::new(r));
+            let net = Immittance::Resistor(Resistance::new(r));
             let z = net.impedance(f(mhz));
             let y = net.admittance(f(mhz));
             prop_assert!(((z * y) - Complex::ONE).norm() < 1e-12);

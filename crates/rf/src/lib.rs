@@ -15,9 +15,9 @@
 //! * the Cauer-style [`image_reject_bandpass`] with a finite
 //!   transmission zero at the image frequency (the GPS LNA output
 //!   filter),
-//! * [L-section matching](design_l_match) (the 50 Ω matching networks),
 //! * [`FilterSpec`] scoring — the paper's "relation of specified losses
-//!   to calculated losses" — and [`tolerance_yield`] Monte Carlo.
+//!   to calculated losses" — and [`tolerance_yield`] Monte Carlo,
+//! * the receiver-chain [`ChainBudget`] (gain and Friis noise figure).
 //!
 //! # Examples
 //!
@@ -54,8 +54,6 @@ mod budget;
 mod complex;
 mod design;
 mod elements;
-mod lowhigh;
-mod matching;
 mod montecarlo;
 mod prototype;
 mod spec;
@@ -65,13 +63,7 @@ pub use budget::{BudgetPoint, CascadeStage, ChainBudget};
 pub use complex::Complex;
 pub use design::{bandpass, image_reject_bandpass, Approximation, BandpassDesign, ElementLosses};
 pub use elements::{Immittance, Loss};
-pub use lowhigh::{butterworth_order, chebyshev_order, group_delay, highpass, lowpass};
-pub use matching::{design_l_match, design_pi_match, LMatch, LSectionKind, PiMatch};
-pub use montecarlo::{
-    tolerance_yield, tolerance_yield_adaptive, tolerance_yield_with, ToleranceYield,
-};
-pub use prototype::{
-    butterworth_g, chebyshev_g, chebyshev_load_g, combined_qu, midband_loss_estimate_db,
-};
+pub use montecarlo::{tolerance_yield, tolerance_yield_with, ToleranceYield};
+pub use prototype::{butterworth_g, chebyshev_g, chebyshev_load_g};
 pub use spec::{FilterSpec, SpecReport, StopbandPoint};
 pub use twoport::{linspace, Abcd, Branch, Ladder, SParams};

@@ -7,14 +7,11 @@
 //!
 //! The sampling runs on the [`ipass_sim`] substrate: every filter
 //! instance draws from its own counter-based stream, so results are
-//! bit-identical for any executor thread count, and runs can stop early
-//! once the yield estimate's confidence interval is tight enough.
+//! bit-identical for any executor thread count.
 
 use crate::spec::FilterSpec;
 use crate::twoport::Ladder;
-use ipass_sim::{
-    BinomialTally, Executor, MinMax, RunOptions, Sampler, SimRng, StopRule, Welford, Z95,
-};
+use ipass_sim::{BinomialTally, Executor, MinMax, Sampler, SimRng, Welford};
 
 /// The outcome of a tolerance Monte Carlo run.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,7 +19,6 @@ pub struct ToleranceYield {
     tally: BinomialTally,
     worst_passband_loss_db: f64,
     loss: Welford,
-    stopped_early: bool,
 }
 
 impl ToleranceYield {
@@ -41,20 +37,6 @@ impl ToleranceYield {
         self.tally.fraction()
     }
 
-    /// 95 % confidence-interval half width of [`yield_fraction`]
-    /// (Wilson — consistent with the adaptive stop rule, and well
-    /// behaved when every sample lands on the same side).
-    ///
-    /// [`yield_fraction`]: ToleranceYield::yield_fraction
-    pub fn yield_ci_half_width(&self) -> f64 {
-        self.tally.wilson_half_width(Z95)
-    }
-
-    /// Wilson 95 % confidence interval of the parametric yield.
-    pub fn yield_interval(&self) -> (f64, f64) {
-        self.tally.wilson_interval(Z95)
-    }
-
     /// Worst sampled passband loss (dB).
     pub fn worst_passband_loss_db(&self) -> f64 {
         self.worst_passband_loss_db
@@ -63,17 +45,6 @@ impl ToleranceYield {
     /// Mean sampled passband loss (dB).
     pub fn mean_passband_loss_db(&self) -> f64 {
         self.loss.mean()
-    }
-
-    /// Sample standard deviation of the passband loss (dB).
-    pub fn passband_loss_std_dev_db(&self) -> f64 {
-        self.loss.std_dev()
-    }
-
-    /// Whether an early-stopping rule ended the run before its sample
-    /// budget.
-    pub fn stopped_early(&self) -> bool {
-        self.stopped_early
     }
 }
 
@@ -118,21 +89,6 @@ where
         into.tally.merge(&from.tally);
         into.worst.merge(&from.worst);
         into.loss.merge(&from.loss);
-    }
-
-    fn ci_half_width(&self, acc: &TolAcc, z: f64) -> Option<f64> {
-        // Wilson, not Wald: near-certain pass/fail would otherwise report
-        // zero width and stop at the floor regardless of the target.
-        Some(acc.tally.wilson_half_width(z))
-    }
-}
-
-fn summarize(acc: TolAcc, stopped_early: bool) -> ToleranceYield {
-    ToleranceYield {
-        tally: acc.tally,
-        worst_passband_loss_db: acc.worst.max(),
-        loss: acc.loss,
-        stopped_early,
     }
 }
 
@@ -204,39 +160,11 @@ where
         Ok(acc) => acc,
         Err(e) => match e {},
     };
-    summarize(acc, false)
-}
-
-/// Adaptive variant: sample until the 95 % confidence interval of the
-/// yield fraction is narrower than `±target_half_width` (or `max_n`
-/// instances were evaluated). The stopping point is evaluated at
-/// deterministic chunk boundaries, so results remain bit-identical for
-/// any executor.
-///
-/// # Panics
-///
-/// Panics when `max_n` is zero.
-pub fn tolerance_yield_adaptive<F>(
-    spec: &FilterSpec,
-    max_n: usize,
-    seed: u64,
-    target_half_width: f64,
-    executor: &Executor,
-    build: F,
-) -> ToleranceYield
-where
-    F: Fn(&mut SimRng) -> Ladder + Sync,
-{
-    assert!(max_n > 0, "need at least one sample");
-    let sampler = TolSampler { spec, build };
-    let options = RunOptions {
-        stop: Some(StopRule::half_width_95(target_half_width)),
-    };
-    let outcome = match executor.run_with(&sampler, max_n as u64, seed, &options) {
-        Ok(outcome) => outcome,
-        Err(e) => match e {},
-    };
-    summarize(outcome.acc, outcome.stopped_early)
+    ToleranceYield {
+        tally: acc.tally,
+        worst_passband_loss_db: acc.worst.max(),
+        loss: acc.loss,
+    }
 }
 
 #[cfg(test)]
@@ -397,9 +325,6 @@ mod tests {
         assert!(r.mean_passband_loss_db() <= r.worst_passband_loss_db());
         assert!(r.passing() <= r.samples());
         assert!((0.0..=1.0).contains(&r.yield_fraction()));
-        assert!(r.passband_loss_std_dev_db() >= 0.0);
-        let (lo, hi) = r.yield_interval();
-        assert!(lo <= r.yield_fraction() && r.yield_fraction() <= hi);
     }
 
     #[test]
@@ -434,28 +359,6 @@ mod tests {
         let serial = tolerance_yield_with(&spec, 600, 7, &Executor::new(1), build);
         let parallel = tolerance_yield_with(&spec, 600, 7, &Executor::new(8), build);
         assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn adaptive_run_stops_when_tight() {
-        let spec = FilterSpec::new("IF", mhz(175.0), 3.0);
-        let build = |rng: &mut SimRng| {
-            toleranced_if_filter(
-                rng,
-                Tolerance::percent(2.0),
-                Tolerance::percent(2.0),
-                45.0,
-                200.0,
-            )
-        };
-        // Near-certain pass ⇒ tiny variance ⇒ stops at the floor.
-        let r = tolerance_yield_adaptive(&spec, 100_000, 5, 0.02, &Executor::new(4), build);
-        assert!(r.stopped_early(), "ran {} samples", r.samples());
-        assert!(r.samples() < 100_000);
-        assert!(r.yield_ci_half_width() <= 0.02);
-        // Determinism across executors.
-        let r2 = tolerance_yield_adaptive(&spec, 100_000, 5, 0.02, &Executor::new(1), build);
-        assert_eq!(r, r2);
     }
 
     #[test]

@@ -95,48 +95,6 @@ pub fn chebyshev_load_g(order: usize, ripple_db: f64) -> f64 {
     }
 }
 
-/// Classic midband insertion-loss estimate for a bandpass filter built
-/// from resonators with unloaded quality factor `qu` (Cohn's formula):
-/// `ΔIL ≈ 4.343 · Σgᵢ / (FBW · Qu)` dB.
-///
-/// # Panics
-///
-/// Panics if `fbw` or `qu` are not positive.
-///
-/// # Examples
-///
-/// ```
-/// use ipass_rf::{chebyshev_g, midband_loss_estimate_db};
-///
-/// let g = chebyshev_g(2, 0.5);
-/// let il = midband_loss_estimate_db(&g, 0.114, 12.0);
-/// assert!(il > 6.0 && il < 7.5);
-/// ```
-pub fn midband_loss_estimate_db(g: &[f64], fbw: f64, qu: f64) -> f64 {
-    assert!(
-        fbw > 0.0,
-        "fractional bandwidth must be positive, got {fbw}"
-    );
-    assert!(qu > 0.0, "unloaded Q must be positive, got {qu}");
-    4.343 * g.iter().sum::<f64>() / (fbw * qu)
-}
-
-/// Combine unloaded Qs of the inductor and capacitor of a resonator:
-/// `1/Qu = 1/Q_L + 1/Q_C`.
-///
-/// # Examples
-///
-/// ```
-/// use ipass_rf::combined_qu;
-///
-/// let qu = combined_qu(12.0, 95.0);
-/// assert!((qu - 10.65).abs() < 0.1);
-/// ```
-pub fn combined_qu(q_l: f64, q_c: f64) -> f64 {
-    assert!(q_l > 0.0 && q_c > 0.0, "Qs must be positive");
-    1.0 / (1.0 / q_l + 1.0 / q_c)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,21 +153,6 @@ mod tests {
     #[should_panic(expected = "ripple")]
     fn zero_ripple_rejected() {
         let _ = chebyshev_g(3, 0.0);
-    }
-
-    #[test]
-    fn loss_estimate_matches_hand_calc() {
-        // The paper-calibration case: n=2 0.5 dB, FBW 0.1143, Qu 12.02
-        // → ≈ 6.7 dB.
-        let g = chebyshev_g(2, 0.5);
-        let il = midband_loss_estimate_db(&g, 0.1143, 12.02);
-        assert!((il - 6.67).abs() < 0.1, "il {il}");
-    }
-
-    #[test]
-    fn combined_qu_is_dominated_by_worst() {
-        assert!(combined_qu(10.0, 1e9) - 10.0 < 1e-6);
-        assert!(combined_qu(10.0, 10.0) - 5.0 < 1e-9);
     }
 
     proptest! {

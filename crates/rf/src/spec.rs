@@ -172,11 +172,6 @@ impl SpecReport {
         }
         score
     }
-
-    /// Safety margin in dB (budget − computed loss; negative = violated).
-    pub fn margin_db(&self) -> f64 {
-        self.loss_budget_db - self.passband_loss_db
-    }
 }
 
 impl fmt::Display for SpecReport {
@@ -225,7 +220,6 @@ mod tests {
         let report = if_spec().evaluate(&if_filter(45.0, 200.0));
         assert!(report.meets_spec());
         assert_eq!(report.performance_score(), 1.0);
-        assert!(report.margin_db() > 0.0);
     }
 
     #[test]

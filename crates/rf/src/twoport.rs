@@ -1,7 +1,7 @@
 //! Two-port networks: ABCD (chain) matrices, S-parameters and ladder
 //! networks.
 
-use crate::complex::{Complex, DualComplex};
+use crate::complex::Complex;
 use crate::elements::Immittance;
 use ipass_units::{voltage_ratio_to_db, Frequency};
 use std::fmt;
@@ -63,41 +63,9 @@ impl Abcd {
         }
     }
 
-    /// An ideal transformer with turns ratio `n` (port1:port2 = n:1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero or not finite.
-    pub fn transformer(n: f64) -> Abcd {
-        assert!(
-            n.is_finite() && n != 0.0,
-            "turns ratio must be finite and non-zero"
-        );
-        Abcd {
-            a: Complex::real(n),
-            b: Complex::ZERO,
-            c: Complex::ZERO,
-            d: Complex::real(1.0 / n),
-        }
-    }
-
     /// The determinant `AD − BC` (1 for reciprocal networks).
     pub fn determinant(&self) -> Complex {
         self.a * self.d - self.b * self.c
-    }
-
-    /// Input impedance when port 2 is terminated with `z_load`.
-    pub fn input_impedance(&self, z_load: Complex) -> Complex {
-        (self.a * z_load + self.b) / (self.c * z_load + self.d)
-    }
-
-    /// Convert to S-parameters in a real reference impedance `z0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `z0` is not a positive finite number.
-    pub fn to_s_params(&self, z0: f64) -> SParams {
-        self.to_s_params_between(z0, z0)
     }
 
     /// Convert to S-parameters with different real reference impedances at
@@ -169,16 +137,6 @@ impl SParams {
         -voltage_ratio_to_db(self.s21.norm())
     }
 
-    /// Return loss in dB (positive): `−20·log₁₀|S11|`.
-    pub fn return_loss_db(&self) -> f64 {
-        -voltage_ratio_to_db(self.s11.norm())
-    }
-
-    /// Attenuation at this frequency, alias of insertion loss.
-    pub fn attenuation_db(&self) -> f64 {
-        self.insertion_loss_db()
-    }
-
     /// Whether the two-port is passive at this point
     /// (`|S11|² + |S21|² ≤ 1`, with slack for rounding).
     pub fn is_passive(&self) -> bool {
@@ -208,60 +166,6 @@ impl Branch {
     pub fn immittance(&self) -> &Immittance {
         match self {
             Branch::Series(imm) | Branch::Shunt(imm) => imm,
-        }
-    }
-
-    /// The branch's ABCD matrix at `f` as duals over ω.
-    fn abcd_dw(&self, f: Frequency) -> AbcdDw {
-        match self {
-            Branch::Series(imm) => AbcdDw {
-                a: DualComplex::constant(Complex::ONE),
-                b: imm.impedance_dw(f),
-                c: DualComplex::ZERO,
-                d: DualComplex::constant(Complex::ONE),
-            },
-            Branch::Shunt(imm) => AbcdDw {
-                a: DualComplex::constant(Complex::ONE),
-                b: DualComplex::ZERO,
-                c: imm.admittance_dw(f),
-                d: DualComplex::constant(Complex::ONE),
-            },
-        }
-    }
-}
-
-/// An ABCD matrix of [`DualComplex`] entries: the chain matrix together
-/// with its exact derivative with respect to angular frequency.
-#[derive(Debug, Clone, Copy)]
-struct AbcdDw {
-    a: DualComplex,
-    b: DualComplex,
-    c: DualComplex,
-    d: DualComplex,
-}
-
-impl AbcdDw {
-    const IDENTITY: AbcdDw = AbcdDw {
-        a: DualComplex {
-            val: Complex::ONE,
-            dw: Complex::ZERO,
-        },
-        b: DualComplex::ZERO,
-        c: DualComplex::ZERO,
-        d: DualComplex {
-            val: Complex::ONE,
-            dw: Complex::ZERO,
-        },
-    };
-
-    /// Cascade: `self` followed by `rhs`, with the product rule applied
-    /// entry-wise by the dual arithmetic.
-    fn cascade(self, rhs: AbcdDw) -> AbcdDw {
-        AbcdDw {
-            a: self.a * rhs.a + self.b * rhs.c,
-            b: self.a * rhs.b + self.b * rhs.d,
-            c: self.c * rhs.a + self.d * rhs.c,
-            d: self.c * rhs.b + self.d * rhs.d,
         }
     }
 }
@@ -353,22 +257,6 @@ impl Ladder {
             .to_s_params_between(self.source_ohms, self.load_ohms)
     }
 
-    /// The S21 denominator `A·Zl + B + C·Zs·Zl + D·Zs` at `f` with its
-    /// exact ω-derivative.
-    ///
-    /// Because `S21 = 2√(Zs·Zl)/denom` with a real, frequency-independent
-    /// numerator, the entire phase of S21 is `−arg(denom)`, so the group
-    /// delay `τ = −d arg(S21)/dω` is exactly `Im(denom′/denom)`.
-    pub(crate) fn s21_denominator_dw(&self, f: Frequency) -> DualComplex {
-        let m = self
-            .branches
-            .iter()
-            .fold(AbcdDw::IDENTITY, |acc, b| acc.cascade(b.abcd_dw(f)));
-        let zs = Complex::real(self.source_ohms);
-        let zl = Complex::real(self.load_ohms);
-        m.a * zl + m.b + m.c * (zs * zl) + m.d * zs
-    }
-
     /// Insertion loss in dB at `f` (relative to the maximum power
     /// transfer between the terminations).
     pub fn insertion_loss_db(&self, f: Frequency) -> f64 {
@@ -433,7 +321,7 @@ mod tests {
 
     #[test]
     fn identity_is_transparent() {
-        let s = Abcd::IDENTITY.to_s_params(50.0);
+        let s = Abcd::IDENTITY.to_s_params_between(50.0, 50.0);
         assert!(s.s11.norm() < 1e-12);
         assert!((s.s21 - Complex::ONE).norm() < 1e-12);
         assert!(s.insertion_loss_db().abs() < 1e-9);
@@ -444,7 +332,7 @@ mod tests {
     fn matched_series_z0_attenuates_6db() {
         // A series 2×Z0 resistor in a Z0 system: S21 = Z0/(Z0 + Z/2)…
         // classic result: series 100Ω in 50Ω system → S21 = 0.5 → 6.02 dB.
-        let s = Abcd::series_z(Complex::real(100.0)).to_s_params(50.0);
+        let s = Abcd::series_z(Complex::real(100.0)).to_s_params_between(50.0, 50.0);
         assert!((s.insertion_loss_db() - 6.0206).abs() < 1e-3);
         assert!(s.is_passive());
     }
@@ -460,29 +348,9 @@ mod tests {
     }
 
     #[test]
-    fn input_impedance_of_shorted_series_z() {
-        let z = Complex::new(5.0, 15.0);
-        let zin = Abcd::series_z(z).input_impedance(Complex::ZERO);
-        assert!((zin - z).norm() < 1e-12);
-    }
-
-    #[test]
-    fn transformer_scales_impedance() {
-        let t = Abcd::transformer(2.0);
-        let zin = t.input_impedance(Complex::real(50.0));
-        assert!((zin - Complex::real(200.0)).norm() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "turns ratio")]
-    fn zero_turns_ratio_rejected() {
-        let _ = Abcd::transformer(0.0);
-    }
-
-    #[test]
     #[should_panic(expected = "reference impedance")]
     fn negative_z0_rejected() {
-        let _ = Abcd::IDENTITY.to_s_params(-50.0);
+        let _ = Abcd::IDENTITY.to_s_params_between(-50.0, -50.0);
     }
 
     #[test]
@@ -550,7 +418,7 @@ mod tests {
     #[test]
     fn ladder_accessors() {
         let ladder = Ladder::new(
-            vec![Branch::Shunt(Immittance::resistor(Resistance::new(100.0)))],
+            vec![Branch::Shunt(Immittance::Resistor(Resistance::new(100.0)))],
             50.0,
             75.0,
         );
@@ -593,7 +461,7 @@ mod tests {
                 vec![
                     Branch::Series(Immittance::inductor(Inductance::from_nano(l_nh), Loss::Ideal)),
                     Branch::Shunt(Immittance::capacitor(Capacitance::from_pico(c_pf), Loss::Ideal)),
-                    Branch::Series(Immittance::resistor(Resistance::new(r))),
+                    Branch::Series(Immittance::Resistor(Resistance::new(r))),
                 ],
                 50.0,
                 50.0,
