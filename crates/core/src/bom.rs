@@ -1,6 +1,5 @@
 //! Bill-of-materials items with per-technology realizations.
 
-use ipass_moe::CostCategory;
 use ipass_units::{Area, Money};
 use std::fmt;
 
@@ -48,8 +47,8 @@ impl Realization {
     }
 }
 
-/// What role an item plays (drives cost categorization and which
-/// realization applies under which die-attach/passive choice).
+/// What role an item plays (drives which realization applies under
+/// which die-attach/passive choice).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ItemRole {
     /// An active die / IC: realizations keyed by die attach.
@@ -57,9 +56,6 @@ pub enum ItemRole {
     /// A passive (or passive network): realizations keyed by passive
     /// policy.
     Passive,
-    /// A component only ever mounted (connectors, crystals, shields):
-    /// always the SMD realization.
-    FixedSmd,
 }
 
 /// A BOM line: `quantity` pieces of a component, with whichever
@@ -88,7 +84,6 @@ pub struct BomItem {
     name: String,
     role: ItemRole,
     quantity: u32,
-    category: CostCategory,
     packaged: Option<Realization>,
     wire_bond: Option<Realization>,
     flip_chip: Option<Realization>,
@@ -97,18 +92,12 @@ pub struct BomItem {
 }
 
 impl BomItem {
-    fn new(
-        name: impl Into<String>,
-        role: ItemRole,
-        quantity: u32,
-        category: CostCategory,
-    ) -> BomItem {
+    fn new(name: impl Into<String>, role: ItemRole, quantity: u32) -> BomItem {
         assert!(quantity > 0, "BOM quantity must be positive");
         BomItem {
             name: name.into(),
             role,
             quantity,
-            category,
             packaged: None,
             wire_bond: None,
             flip_chip: None,
@@ -117,38 +106,18 @@ impl BomItem {
         }
     }
 
-    /// A die (quantity 1), booked under the chip cost category.
+    /// A die (quantity 1).
     pub fn die(name: impl Into<String>) -> BomItem {
-        BomItem::new(name, ItemRole::Die, 1, CostCategory::Chip)
+        BomItem::new(name, ItemRole::Die, 1)
     }
 
-    /// A passive component (or passive network), booked under passive
-    /// parts.
+    /// A passive component (or passive network).
     ///
     /// # Panics
     ///
     /// Panics on zero quantity.
     pub fn passive(name: impl Into<String>, quantity: u32) -> BomItem {
-        BomItem::new(
-            name,
-            ItemRole::Passive,
-            quantity,
-            CostCategory::PassiveParts,
-        )
-    }
-
-    /// A component that is always mounted as an SMD regardless of policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics on zero quantity.
-    pub fn fixed_smd(name: impl Into<String>, quantity: u32) -> BomItem {
-        BomItem::new(
-            name,
-            ItemRole::FixedSmd,
-            quantity,
-            CostCategory::PassiveParts,
-        )
+        BomItem::new(name, ItemRole::Passive, quantity)
     }
 
     /// Set the packaged (QFP-on-PCB) realization.
@@ -196,11 +165,6 @@ impl BomItem {
         self.quantity
     }
 
-    /// Cost category for purchase costs.
-    pub fn category(&self) -> CostCategory {
-        self.category
-    }
-
     /// The packaged realization, if any.
     pub fn packaged(&self) -> Option<&Realization> {
         self.packaged.as_ref()
@@ -244,7 +208,6 @@ mod tests {
             .with_integrated(Realization::new(Area::from_mm2(0.3), Money::ZERO));
         assert_eq!(item.name(), "cap");
         assert_eq!(item.quantity(), 45);
-        assert_eq!(item.category(), CostCategory::PassiveParts);
         assert!(item.smd().is_some());
         assert!(item.integrated().is_some());
         assert!(item.packaged().is_none());
@@ -256,7 +219,6 @@ mod tests {
         let die = BomItem::die("DSP");
         assert_eq!(die.role(), ItemRole::Die);
         assert_eq!(die.quantity(), 1);
-        assert_eq!(die.category(), CostCategory::Chip);
     }
 
     #[test]
@@ -271,11 +233,5 @@ mod tests {
     #[should_panic(expected = "quantity")]
     fn zero_quantity_rejected() {
         let _ = BomItem::passive("x", 0);
-    }
-
-    #[test]
-    fn fixed_smd_role() {
-        let x = BomItem::fixed_smd("crystal", 1);
-        assert_eq!(x.role(), ItemRole::FixedSmd);
     }
 }

@@ -194,11 +194,6 @@ impl DecisionTable {
         })
     }
 
-    /// The reference candidate's name.
-    pub fn reference(&self) -> &str {
-        &self.reference
-    }
-
     /// The rows, in input order.
     pub fn rows(&self) -> &[DecisionRow] {
         &self.rows
@@ -321,7 +316,10 @@ mod tests {
         let reference_row = &table.rows()[0];
         assert_eq!(reference_row.size_ratio, 1.0);
         assert_eq!(reference_row.cost_ratio, 1.0);
-        assert_eq!(table.reference(), "1 PCB/SMD");
+        assert_eq!(
+            table.artifact().title,
+            "decision table (reference: 1 PCB/SMD)"
+        );
     }
 
     #[test]

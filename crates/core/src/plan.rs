@@ -163,7 +163,6 @@ fn select(
             DieAttach::WireBond => item.wire_bond().map(|r| (Choice::WireBond, *r)),
             DieAttach::FlipChip => item.flip_chip().map(|r| (Choice::FlipChip, *r)),
         },
-        ItemRole::FixedSmd => item.smd().map(|r| (Choice::Smd, *r)),
         ItemRole::Passive => {
             let smd = item.smd().map(|r| (Choice::Smd, *r));
             if !buildup.substrate().supports_integrated_passives() {
@@ -249,20 +248,6 @@ impl BuildUpPlan {
             .iter()
             .filter(|s| matches!(s.choice, Choice::Smd))
             .map(|s| s.realization.unit_cost() * f64::from(s.quantity))
-            .sum()
-    }
-
-    /// Number of bare dies to attach.
-    pub fn die_count(&self) -> u32 {
-        self.selections
-            .iter()
-            .filter(|s| {
-                matches!(
-                    s.choice,
-                    Choice::WireBond | Choice::FlipChip | Choice::Packaged
-                )
-            })
-            .map(|s| s.quantity)
             .sum()
     }
 
@@ -383,7 +368,6 @@ mod tests {
         let plan = BuildUp::pcb_reference()
             .plan(&full_bom(), SelectionObjective::MinArea)
             .unwrap();
-        assert_eq!(plan.die_count(), 2);
         assert_eq!(plan.smd_placements(), 43);
         assert_eq!(plan.bond_count(), 0);
         assert_eq!(plan.integrated_count(), 0);

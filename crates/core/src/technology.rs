@@ -16,11 +16,6 @@ impl SubstrateTech {
     pub fn supports_integrated_passives(self) -> bool {
         matches!(self, SubstrateTech::McmDSi)
     }
-
-    /// Whether modules on this substrate need a BGA laminate carrier.
-    pub fn needs_laminate(self) -> bool {
-        matches!(self, SubstrateTech::McmDSi)
-    }
 }
 
 impl fmt::Display for SubstrateTech {
@@ -239,8 +234,6 @@ mod tests {
     fn capability_flags() {
         assert!(!SubstrateTech::Pcb.supports_integrated_passives());
         assert!(SubstrateTech::McmDSi.supports_integrated_passives());
-        assert!(!SubstrateTech::Pcb.needs_laminate());
-        assert!(SubstrateTech::McmDSi.needs_laminate());
     }
 
     #[test]

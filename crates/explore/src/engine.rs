@@ -1,5 +1,5 @@
 //! An evaluated design space: every screened point with its objective
-//! values, the Pareto frontier over them, and their renderings.
+//! values, the Pareto frontier over them, and its artifact form.
 //!
 //! [`FlowExplorer::explore`](crate::FlowExplorer::explore) builds one;
 //! [`FlowExplorer::refine`](crate::FlowExplorer::refine) keeps it as
@@ -50,28 +50,6 @@ impl Exploration {
                 })
                 .collect(),
         )
-    }
-
-    /// Render the frontier as a table (axes, then objectives).
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "frontier: {} of {} points\n",
-            self.frontier.members().len(),
-            self.points.len()
-        );
-        out.push_str(&format!("{:>6}", "point"));
-        for name in self.axes.iter().chain(&self.objectives) {
-            out.push_str(&format!(" {name:>18}"));
-        }
-        out.push('\n');
-        for m in self.frontier.members() {
-            out.push_str(&format!("{:>6}", m.index));
-            for v in m.coords.iter().chain(&m.objectives) {
-                out.push_str(&format!(" {v:>18.4}"));
-            }
-            out.push('\n');
-        }
-        out
     }
 }
 

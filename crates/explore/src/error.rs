@@ -28,7 +28,7 @@ pub enum ExploreError {
         /// Upper bound as given.
         hi: f64,
     },
-    /// A probability-valued axis (yield, coverage) reaches outside
+    /// A probability-valued axis (a test coverage) reaches outside
     /// `[0, 1]`.
     ProbabilityAxisOutOfRange {
         /// Name of the offending axis.
@@ -38,8 +38,6 @@ pub enum ExploreError {
         /// Upper bound as given.
         hi: f64,
     },
-    /// A sampler was asked for zero points.
-    NoPoints,
     /// A sampler asks for more points than one exploration supports.
     TooManyPoints {
         /// The number of points asked for (a full grid's product
@@ -76,7 +74,6 @@ impl fmt::Display for ExploreError {
                 f,
                 "probability axis {axis:?} range [{lo}, {hi}] leaves [0, 1]"
             ),
-            ExploreError::NoPoints => write!(f, "sampler was asked for zero points"),
             ExploreError::TooManyPoints { points, limit } => {
                 write!(f, "sampler asks for {points} points (limit {limit})")
             }

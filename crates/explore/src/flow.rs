@@ -6,7 +6,7 @@
 //! report's [`CostFigures`]. The explorer then drives the pipeline the
 //! paper's scenario questions ask for:
 //!
-//! 1. **sample** the axes (grid / random / Latin hypercube),
+//! 1. **sample** the axes on the full grid,
 //! 2. **screen** every point analytically — a [`FlowPatch`] per point,
 //!    ~hundreds of nanoseconds each,
 //! 3. **extract** the Pareto frontier over the objectives,
@@ -51,12 +51,6 @@ pub enum FlowTarget {
         /// Patch-slot name.
         slot: String,
     },
-    /// A yield slot, set to the axis value
-    /// ([`FlowPatch::set_yield`]).
-    Yield {
-        /// Patch-slot name.
-        slot: String,
-    },
     /// A test-coverage slot, set to the axis value
     /// ([`FlowPatch::set_coverage`]).
     Coverage {
@@ -77,7 +71,6 @@ impl fmt::Debug for FlowTarget {
         match self {
             FlowTarget::UnitCost { slot } => write!(f, "UnitCost({slot:?})"),
             FlowTarget::CostScale { slot } => write!(f, "CostScale({slot:?})"),
-            FlowTarget::Yield { slot } => write!(f, "Yield({slot:?})"),
             FlowTarget::Coverage { slot } => write!(f, "Coverage({slot:?})"),
             FlowTarget::Volume => write!(f, "Volume"),
             FlowTarget::Custom(_) => write!(f, "Custom(..)"),
@@ -124,13 +117,6 @@ impl FlowAxis {
         )
     }
 
-    /// A yield axis on `slot` (axis value is the per-input-unit success
-    /// probability; levels must stay inside `[0, 1]`).
-    pub fn step_yield(slot: impl Into<String>, levels: Levels) -> FlowAxis {
-        let slot = slot.into();
-        FlowAxis::new(format!("{slot} yield"), levels, FlowTarget::Yield { slot })
-    }
-
     /// A fault-coverage axis on test stage `slot` (levels must stay
     /// inside `[0, 1]`).
     pub fn coverage(slot: impl Into<String>, levels: Levels) -> FlowAxis {
@@ -156,12 +142,6 @@ impl FlowAxis {
         FlowAxis::new(name, levels, FlowTarget::Custom(Arc::new(apply)))
     }
 
-    /// Rename the axis (the constructors derive a name from the slot).
-    pub fn named(mut self, name: impl Into<String>) -> FlowAxis {
-        self.axis.name = name.into();
-        self
-    }
-
     /// Write value `x` into `patch`.
     fn apply(&self, x: f64, patch: &mut FlowPatch) -> Result<(), FlowError> {
         match &self.target {
@@ -170,9 +150,6 @@ impl FlowAxis {
             }
             FlowTarget::CostScale { slot } => {
                 patch.scale_cost(slot, x)?;
-            }
-            FlowTarget::Yield { slot } => {
-                patch.set_yield(slot, Probability::clamped(x))?;
             }
             FlowTarget::Coverage { slot } => {
                 patch.set_coverage(slot, Probability::clamped(x))?;
@@ -187,10 +164,7 @@ impl FlowAxis {
 
     fn validate(&self) -> Result<(), ExploreError> {
         self.axis.levels.validate(&self.axis.name)?;
-        if matches!(
-            self.target,
-            FlowTarget::Yield { .. } | FlowTarget::Coverage { .. }
-        ) {
+        if matches!(self.target, FlowTarget::Coverage { .. }) {
             let (lo, hi) = self.axis.levels.bounds();
             if !(0.0..=1.0).contains(&lo) || !(0.0..=1.0).contains(&hi) {
                 return Err(ExploreError::ProbabilityAxisOutOfRange {
@@ -319,7 +293,7 @@ impl Default for RefineOptions {
 /// One promoted point's Monte Carlo confirmation.
 #[derive(Debug, Clone)]
 pub struct Confirmation {
-    /// The confirmed point's sampler index.
+    /// The confirmed point's grid index.
     pub index: usize,
     /// Objective values measured by the Monte Carlo engine (aligned
     /// with the exploration's objectives).
@@ -350,20 +324,6 @@ impl Refined {
         &self.screen.frontier
     }
 
-    /// The frontier re-extracted from the Monte Carlo measurements of
-    /// the promoted points — what a pure-sampling study would have
-    /// reported, useful to judge how far MC noise moves the picture.
-    pub fn confirmed_frontier(&self) -> ParetoFrontier {
-        ParetoFrontier::extract(
-            self.screen.senses.clone(),
-            self.confirmations.iter().map(|c| DesignPoint {
-                index: c.index,
-                coords: self.screen.points[c.index].coords.clone(),
-                objectives: c.objectives.clone(),
-            }),
-        )
-    }
-
     /// Fraction of screened points that paid for a Monte Carlo run.
     pub fn promoted_fraction(&self) -> f64 {
         self.promoted.len() as f64 / self.screen.points.len().max(1) as f64
@@ -388,22 +348,6 @@ impl Refined {
                 .filter(|c| c.stopped_early)
                 .count(),
         ))
-    }
-
-    /// Render the refinement summary.
-    pub fn render(&self) -> String {
-        let mut out = self.screen.render();
-        out.push_str(&format!(
-            "refined: {} of {} points promoted to MC ({:.1} %), {} stopped early\n",
-            self.promoted.len(),
-            self.screen.points.len(),
-            100.0 * self.promoted_fraction(),
-            self.confirmations
-                .iter()
-                .filter(|c| c.stopped_early)
-                .count(),
-        ));
-        out
     }
 }
 
@@ -999,9 +943,6 @@ mod tests {
                 analytic[0]
             );
         }
-        assert!(refined.render().contains("promoted to MC"));
-        // The MC-measured frontier exists and stays near the band.
-        assert!(!refined.confirmed_frontier().members().is_empty());
         // No early stopping: every promoted point paid the full budget.
         assert!(refined
             .confirmations

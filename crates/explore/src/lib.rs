@@ -8,10 +8,10 @@
 //!   production-flow binding ([`FlowAxis`]) lowers each value onto a
 //!   patch slot of a [`CompiledFlow`](ipass_moe::CompiledFlow) (or the
 //!   amortization volume, or a custom coupled patch).
-//! * **Samplers** ([`SamplerSpec`]) address points by index — full
-//!   grid, counter-RNG random, Latin hypercube — so coordinates are a
-//!   pure function of `(spec, axes, index)` and every fan-out is
-//!   bit-identical for any executor thread count.
+//! * **The sampler** ([`SamplerSpec::Grid`]) addresses the full grid's
+//!   points by index, so coordinates are a pure function of
+//!   `(axes, index)` and every fan-out is bit-identical for any
+//!   executor thread count.
 //! * **Pareto frontiers** ([`ParetoFrontier`], [`Sense`]) rank points
 //!   under multiple objectives; [`ParetoFrontier::diff`] compares
 //!   candidates ("which of A's trade-off points does B beat?").
@@ -74,5 +74,5 @@ pub use flow::{
     Confirmation, FlowAxis, FlowExplorer, FlowTarget, Metric, Objective, RefineOptions, Refined,
 };
 pub use pareto::{dominates, DesignPoint, FrontierDiff, ParetoFrontier, Sense};
-pub use sample::{PointSet, SamplerSpec};
+pub use sample::SamplerSpec;
 pub use space::{Axis, Levels};

@@ -50,12 +50,11 @@ pub fn dominates(a: &[f64], b: &[f64], senses: &[Sense]) -> bool {
 
 /// One evaluated point of a design space: where it sits (`coords`, one
 /// value per axis) and how it scored (`objectives`, one value per
-/// objective). `index` is the point's identity within its sampler — the
-/// same index always denotes the same coordinates (and, for random
-/// samplers, the same RNG stream).
+/// objective). `index` is the point's identity within its grid — the
+/// same index always denotes the same coordinates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DesignPoint {
-    /// Sampler point index.
+    /// Grid point index.
     pub index: usize,
     /// Coordinates, one per axis.
     pub coords: Vec<f64>,
@@ -148,11 +147,6 @@ impl ParetoFrontier {
         }
     }
 
-    /// The objective senses.
-    pub fn senses(&self) -> &[Sense] {
-        &self.senses
-    }
-
     /// The frontier members, sorted by point index.
     pub fn members(&self) -> &[DesignPoint] {
         &self.members
@@ -161,18 +155,6 @@ impl ParetoFrontier {
     /// The member point indices, ascending.
     pub fn indices(&self) -> Vec<usize> {
         self.members.iter().map(|m| m.index).collect()
-    }
-
-    /// The member minimizing/maximizing objective `k` per its sense
-    /// (`None` for an empty frontier).
-    pub fn best_by(&self, k: usize) -> Option<&DesignPoint> {
-        self.members.iter().reduce(|best, m| {
-            if self.senses[k].better(m.objectives[k], best.objectives[k]) {
-                m
-            } else {
-                best
-            }
-        })
     }
 
     /// Compare against another frontier over the same objectives — the
@@ -287,38 +269,6 @@ pub struct FrontierDiff {
 }
 
 impl FrontierDiff {
-    /// The diff as a typed artifact table: per side, the frontier size
-    /// and how many members survive the joint comparison.
-    pub fn artifact(
-        &self,
-        title: impl Into<String>,
-        left_name: &str,
-        right_name: &str,
-    ) -> ipass_report::Table {
-        use ipass_report::Cell;
-        let side = |name: &str, total: usize, surviving: &[usize]| {
-            vec![
-                Cell::text(name),
-                Cell::int(total as i64),
-                Cell::int(surviving.len() as i64),
-                Cell::text(
-                    surviving
-                        .iter()
-                        .map(usize::to_string)
-                        .collect::<Vec<_>>()
-                        .join(" "),
-                ),
-            ]
-        };
-        ipass_report::Table::new(title)
-            .text_column("frontier")
-            .integer_column("members")
-            .integer_column("surviving")
-            .text_column("surviving point indices")
-            .row(side(left_name, self.left_total, &self.left_surviving))
-            .row(side(right_name, self.right_total, &self.right_surviving))
-    }
-
     /// Whether the left frontier survives intact while dominating at
     /// least one right member — "strictly better somewhere, worse
     /// nowhere".
@@ -372,8 +322,6 @@ mod tests {
             ],
         );
         assert_eq!(f.indices(), vec![0, 1, 2, 4]);
-        assert_eq!(f.best_by(0).unwrap().index, 0);
-        assert_eq!(f.best_by(1).unwrap().index, 2);
     }
 
     #[test]

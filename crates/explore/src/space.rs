@@ -37,7 +37,7 @@ impl Levels {
         }
     }
 
-    /// The `i`-th grid level (grid samplers).
+    /// The `i`-th grid level.
     ///
     /// # Panics
     ///
@@ -54,19 +54,6 @@ impl Levels {
                 }
             }
             Levels::Explicit(values) => values[i],
-        }
-    }
-
-    /// Map a unit draw `u ∈ [0, 1)` onto the axis (random and
-    /// Latin-hypercube samplers): continuous over a linear range,
-    /// snapped to a level for explicit lists.
-    pub fn at_unit(&self, u: f64) -> f64 {
-        match self {
-            Levels::Linear { lo, hi, .. } => lo + (hi - lo) * u,
-            Levels::Explicit(values) => {
-                let i = ((u * values.len() as f64) as usize).min(values.len() - 1);
-                values[i]
-            }
         }
     }
 
@@ -139,17 +126,6 @@ mod tests {
         assert_eq!(l.level(2), 2.0);
         assert_eq!(l.level(4), 3.0);
         assert_eq!(Levels::linspace(2.5, 9.0, 1).level(0), 2.5);
-    }
-
-    #[test]
-    fn at_unit_maps_and_snaps() {
-        let lin = Levels::linspace(10.0, 20.0, 3);
-        assert_eq!(lin.at_unit(0.0), 10.0);
-        assert_eq!(lin.at_unit(0.5), 15.0);
-        let exp = Levels::explicit([1.0, 2.0, 4.0]);
-        assert_eq!(exp.at_unit(0.0), 1.0);
-        assert_eq!(exp.at_unit(0.4), 2.0);
-        assert_eq!(exp.at_unit(0.99), 4.0);
     }
 
     #[test]

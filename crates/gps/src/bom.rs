@@ -23,6 +23,10 @@
 //! resistors. 8 decaps + 4 IF inductors = the 12 SMDs of solution 4.
 
 use crate::chipset::Chip;
+use crate::paper::{
+    TABLE1_FILTER_IP_MM2, TABLE1_FILTER_SMD_MM2, TABLE1_IP_C_50P_MM2, TABLE1_IP_L_40N_MM2,
+    TABLE1_IP_R_100K_MM2,
+};
 use ipass_core::{BomItem, BuildUp, PassivePolicy, Realization};
 use ipass_units::{Area, Money};
 
@@ -79,13 +83,13 @@ fn discrete_passives() -> Vec<BomItem> {
             .with_integrated(ip(33.0)),
         BomItem::passive("bias/pull-up R 100 kΩ", 35)
             .with_smd(smd(3.75, 0.02))
-            .with_integrated(ip(0.25)),
+            .with_integrated(ip(TABLE1_IP_R_100K_MM2)),
         BomItem::passive("RF/coupling C ≤50 pF", 45)
             .with_smd(smd(3.75, 0.03))
-            .with_integrated(ip(0.3)),
+            .with_integrated(ip(TABLE1_IP_C_50P_MM2)),
         BomItem::passive("matching/choke L 40 nH", 20)
             .with_smd(smd(3.75, 0.15))
-            .with_integrated(ip(1.0)),
+            .with_integrated(ip(TABLE1_IP_L_40N_MM2)),
     ]
 }
 
@@ -94,17 +98,18 @@ fn filter_items(style: FilterStyle) -> Vec<BomItem> {
     match style {
         FilterStyle::Modules => vec![
             BomItem::passive("RF BP filter 1.575 GHz (module)", 1)
-                .with_smd(smd(27.5, FILTER_MODULE_COST)),
+                .with_smd(smd(TABLE1_FILTER_SMD_MM2, FILTER_MODULE_COST)),
             BomItem::passive("IF BP filter 175 MHz (module)", 2)
-                .with_smd(smd(27.5, FILTER_MODULE_COST)),
-            BomItem::passive("PLL loop filter (module)", 1).with_smd(smd(27.5, FILTER_MODULE_COST)),
+                .with_smd(smd(TABLE1_FILTER_SMD_MM2, FILTER_MODULE_COST)),
+            BomItem::passive("PLL loop filter (module)", 1)
+                .with_smd(smd(TABLE1_FILTER_SMD_MM2, FILTER_MODULE_COST)),
         ],
         FilterStyle::Elements => vec![
             // The image-reject BP stays a block: its integrated form is
             // Table 1's 12 mm² 3-stage filter; as an SMD it is a module.
             BomItem::passive("RF BP filter 1.575 GHz", 1)
-                .with_smd(smd(27.5, FILTER_MODULE_COST))
-                .with_integrated(ip(12.0)),
+                .with_smd(smd(TABLE1_FILTER_SMD_MM2, FILTER_MODULE_COST))
+                .with_integrated(ip(TABLE1_FILTER_IP_MM2)),
             // IF filters decomposed: 2 pole ⇒ 2 L + 3 C + 1 R per filter.
             // The integrated IF inductor needs wide lines for Q ⇒ 5 mm².
             BomItem::passive("IF filter L ~100 nH", 4)
@@ -112,17 +117,17 @@ fn filter_items(style: FilterStyle) -> Vec<BomItem> {
                 .with_integrated(ip(5.0)),
             BomItem::passive("IF filter C", 6)
                 .with_smd(smd(3.75, 0.03))
-                .with_integrated(ip(0.3)),
+                .with_integrated(ip(TABLE1_IP_C_50P_MM2)),
             BomItem::passive("IF filter termination R", 2)
                 .with_smd(smd(3.75, 0.02))
-                .with_integrated(ip(0.25)),
+                .with_integrated(ip(TABLE1_IP_R_100K_MM2)),
             // PLL loop filter decomposed: RC network.
             BomItem::passive("PLL filter R", 2)
                 .with_smd(smd(3.75, 0.02))
-                .with_integrated(ip(0.25)),
+                .with_integrated(ip(TABLE1_IP_R_100K_MM2)),
             BomItem::passive("PLL filter C", 2)
                 .with_smd(smd(3.75, 0.03))
-                .with_integrated(ip(0.3)),
+                .with_integrated(ip(TABLE1_IP_C_50P_MM2)),
         ],
     }
 }

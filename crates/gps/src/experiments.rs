@@ -399,11 +399,6 @@ impl Table2 {
             .note("empty SMD kit: the kit price equals the BOM's own sum (no override)")
             .note("empty packaging: the PCB reference ships without a BGA laminate")
     }
-
-    /// Render the cards (the artifact pipeline's txt sink).
-    pub fn render(&self) -> String {
-        self.artifact().to_txt()
-    }
 }
 
 /// Regenerate Table 2: the cost/yield card of every paper solution.

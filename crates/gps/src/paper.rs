@@ -74,4 +74,14 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn section2_constants_match_the_thin_film_models() {
+        use ipass_passives::{DielectricFilm, ResistiveFilm};
+        assert_eq!(
+            ResistiveFilm::cr_si().sheet_resistance_ohm_sq(),
+            CRSI_SHEET_OHM_SQ
+        );
+        assert_eq!(DielectricFilm::si3n4().density_pf_mm2(), CAP_DENSITY_PF_MM2);
+    }
 }

@@ -124,7 +124,6 @@ impl Error for PackError {}
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShelfPacker {
     strip_width: f64,
-    allow_rotation: bool,
 }
 
 impl ShelfPacker {
@@ -139,16 +138,7 @@ impl ShelfPacker {
             strip_width > 0.0 && strip_width.is_finite(),
             "strip width must be positive, got {strip_width}"
         );
-        ShelfPacker {
-            strip_width,
-            allow_rotation: true,
-        }
-    }
-
-    /// Forbid 90° rotation (for polarized or keyed components).
-    pub fn without_rotation(mut self) -> ShelfPacker {
-        self.allow_rotation = false;
-        self
+        ShelfPacker { strip_width }
     }
 
     /// Pack rectangles onto shelves, sorted by decreasing height.
@@ -158,13 +148,13 @@ impl ShelfPacker {
     /// Returns [`PackError::TooWide`] when a rectangle cannot fit the
     /// strip in either orientation.
     pub fn pack(&self, rects: &[Rect]) -> Result<Packing, PackError> {
-        // Normalize: lay every rectangle flat (wider than tall) when
-        // rotation is allowed, then sort by decreasing height.
+        // Normalize: lay every rectangle flat (wider than tall), then
+        // sort by decreasing height.
         let mut items: Vec<(usize, Rect, bool)> = rects
             .iter()
             .enumerate()
             .map(|(i, r)| {
-                if self.allow_rotation && r.h > r.w {
+                if r.h > r.w {
                     (i, r.rotated(), true)
                 } else {
                     (i, *r, false)
@@ -172,15 +162,12 @@ impl ShelfPacker {
             })
             .collect();
         for (i, r, _) in &items {
-            if r.w > self.strip_width {
-                let rotatable = self.allow_rotation && r.h <= self.strip_width;
-                if !rotatable {
-                    return Err(PackError::TooWide {
-                        index: *i,
-                        min_side: r.w.min(r.h),
-                        strip_width: self.strip_width,
-                    });
-                }
+            if r.w > self.strip_width && r.h > self.strip_width {
+                return Err(PackError::TooWide {
+                    index: *i,
+                    min_side: r.w.min(r.h),
+                    strip_width: self.strip_width,
+                });
             }
         }
         items.sort_by(|a, b| {
@@ -321,18 +308,15 @@ mod tests {
         let with_rot = ShelfPacker::new(8.0).pack(&parts).unwrap();
         assert!(with_rot.validate());
         assert!(with_rot.placements().iter().all(|p| p.rotated));
-        let without = ShelfPacker::new(8.0)
-            .without_rotation()
-            .pack(&parts)
-            .unwrap();
-        assert!(without.height() >= with_rot.height());
+        // Laid flat, the four parts stack one unit high each instead of
+        // standing eight high.
+        assert!((with_rot.height() - 4.0).abs() < 1e-9);
     }
 
     #[test]
     fn too_wide_is_an_error() {
         let err = ShelfPacker::new(5.0)
-            .without_rotation()
-            .pack(&[Rect::new(6.0, 1.0)])
+            .pack(&[Rect::new(6.0, 6.0)])
             .unwrap_err();
         assert!(matches!(err, PackError::TooWide { index: 0, .. }));
         assert!(err.to_string().contains("strip width"));

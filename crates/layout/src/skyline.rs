@@ -28,7 +28,6 @@ use crate::packer::{PackError, Packing, Placement, Rect};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SkylinePacker {
     strip_width: f64,
-    allow_rotation: bool,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -49,16 +48,7 @@ impl SkylinePacker {
             strip_width > 0.0 && strip_width.is_finite(),
             "strip width must be positive, got {strip_width}"
         );
-        SkylinePacker {
-            strip_width,
-            allow_rotation: true,
-        }
-    }
-
-    /// Forbid 90° rotation.
-    pub fn without_rotation(mut self) -> SkylinePacker {
-        self.allow_rotation = false;
-        self
+        SkylinePacker { strip_width }
     }
 
     /// Pack rectangles, sorted by decreasing area, each at the lowest
@@ -70,7 +60,7 @@ impl SkylinePacker {
     /// strip in any allowed orientation.
     pub fn pack(&self, rects: &[Rect]) -> Result<Packing, PackError> {
         for (i, r) in rects.iter().enumerate() {
-            let fits = r.w <= self.strip_width || (self.allow_rotation && r.h <= self.strip_width);
+            let fits = r.w <= self.strip_width || r.h <= self.strip_width;
             if !fits {
                 return Err(PackError::TooWide {
                     index: i,
@@ -94,12 +84,11 @@ impl SkylinePacker {
         let mut placements = Vec::with_capacity(rects.len());
         for index in order {
             let rect = rects[index];
-            let candidates: &[(Rect, bool)] =
-                if self.allow_rotation && (rect.h - rect.w).abs() > 1e-12 {
-                    &[(rect, false), (rect.rotated(), true)]
-                } else {
-                    &[(rect, false)]
-                };
+            let candidates: &[(Rect, bool)] = if (rect.h - rect.w).abs() > 1e-12 {
+                &[(rect, false), (rect.rotated(), true)]
+            } else {
+                &[(rect, false)]
+            };
             let mut best: Option<(f64, f64, Rect, bool)> = None; // (y, x, rect, rotated)
             for &(r, rotated) in candidates {
                 if r.w > self.strip_width {
@@ -233,18 +222,13 @@ mod tests {
 
     #[test]
     fn fills_holes_that_shelves_waste() {
-        // One tall part + many short ones: shelves open a tall shelf and
-        // waste the space beside the tall part; the skyline fills it.
-        let mut rects = vec![Rect::new(2.0, 6.0)];
+        // One tall part too long to lay flat + many short ones: shelves
+        // open a tall shelf and waste the space beside the tall part; the
+        // skyline fills it.
+        let mut rects = vec![Rect::new(2.0, 7.0)];
         rects.extend(std::iter::repeat_n(Rect::new(2.0, 1.0), 12));
-        let shelf = crate::packer::ShelfPacker::new(6.0)
-            .without_rotation()
-            .pack(&rects)
-            .unwrap();
-        let skyline = SkylinePacker::new(6.0)
-            .without_rotation()
-            .pack(&rects)
-            .unwrap();
+        let shelf = crate::packer::ShelfPacker::new(6.0).pack(&rects).unwrap();
+        let skyline = SkylinePacker::new(6.0).pack(&rects).unwrap();
         assert!(skyline.validate());
         assert!(
             skyline.height() < shelf.height() - 0.5,
@@ -257,8 +241,7 @@ mod tests {
     #[test]
     fn too_wide_reported() {
         let err = SkylinePacker::new(3.0)
-            .without_rotation()
-            .pack(&[Rect::new(4.0, 1.0)])
+            .pack(&[Rect::new(4.0, 4.0)])
             .unwrap_err();
         assert!(matches!(err, PackError::TooWide { .. }));
         // Rotation rescues it.

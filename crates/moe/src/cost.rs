@@ -87,7 +87,6 @@ impl fmt::Display for CostCategory {
 /// v.book(CostCategory::Chip, Money::new(198.0));
 /// v.book(CostCategory::Test, Money::new(10.0));
 /// assert_eq!(v[CostCategory::Chip], Money::new(198.0));
-/// assert_eq!(v.total(), Money::new(208.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CostVector([Money; CostCategory::COUNT]);
@@ -104,21 +103,6 @@ impl CostVector {
     /// [`std::ops::Add`], which merges two vectors.)
     pub fn book(&mut self, category: CostCategory, amount: Money) {
         self.0[category.index()] += amount;
-    }
-
-    /// Sum over all categories.
-    pub fn total(&self) -> Money {
-        self.0.iter().copied().sum()
-    }
-
-    /// The share (0–1) of `category` in the total; 0 when the total is 0.
-    pub fn share(&self, category: CostCategory) -> f64 {
-        let total = self.total().units();
-        if total == 0.0 {
-            0.0
-        } else {
-            self.0[category.index()].units() / total
-        }
     }
 
     /// Iterate `(category, amount)` pairs in display order.
@@ -182,10 +166,6 @@ impl Mul<f64> for CostVector {
 /// // MCM-D substrate at 1.75 per cm² for an 8.1 cm² substrate:
 /// let sub = StepCost::per_area(Money::new(1.75), Area::from_cm2(8.1));
 /// assert!((sub.total().units() - 14.175).abs() < 1e-9);
-///
-/// // Terms combine:
-/// let both = StepCost::fixed(Money::new(1.0)).and(wb);
-/// assert_eq!(both.total(), Money::new(3.12));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StepCost {
@@ -232,75 +212,10 @@ impl StepCost {
         }
     }
 
-    /// Combine two cost specifications term-by-term.
-    ///
-    /// # Panics
-    ///
-    /// Panics when both operands carry a per-item or per-area term with
-    /// different rates — such costs cannot be merged losslessly; keep them
-    /// as separate stages instead.
-    pub fn and(self, other: StepCost) -> StepCost {
-        let (per_item, items) = merge_rate(
-            (self.per_item, self.items),
-            (other.per_item, other.items),
-            "per-item",
-        );
-        let (per_cm2, area) = merge_area((self.per_cm2, self.area), (other.per_cm2, other.area));
-        StepCost {
-            fixed: self.fixed + other.fixed,
-            per_item,
-            items,
-            per_cm2,
-            area,
-        }
-    }
-
     /// Total monetary amount of this cost.
     pub fn total(&self) -> Money {
         self.fixed + self.per_item * f64::from(self.items) + self.per_cm2 * self.area.cm2()
     }
-
-    /// The number of items the per-item term covers.
-    pub fn items(&self) -> u32 {
-        self.items
-    }
-
-    /// Whether this cost is exactly zero.
-    pub fn is_zero(&self) -> bool {
-        self.total() == Money::ZERO
-    }
-}
-
-fn merge_rate(a: (Money, u32), b: (Money, u32), what: &str) -> (Money, u32) {
-    match (a.1, b.1) {
-        (0, _) => b,
-        (_, 0) => a,
-        _ => {
-            assert!(
-                a.0 == b.0,
-                "cannot merge {what} costs with different rates ({} vs {})",
-                a.0,
-                b.0
-            );
-            (a.0, a.1 + b.1)
-        }
-    }
-}
-
-fn merge_area(a: (Money, Area), b: (Money, Area)) -> (Money, Area) {
-    if a.1 == Area::ZERO || a.0 == Money::ZERO {
-        return b;
-    }
-    if b.1 == Area::ZERO || b.0 == Money::ZERO {
-        return a;
-    }
-    assert!(
-        a.0 == b.0,
-        "cannot merge per-area costs with different rates ({} vs {})",
-        a.0,
-        b.0
-    );
-    (a.0, a.1 + b.1)
 }
 
 impl fmt::Display for StepCost {
@@ -324,18 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn vector_accumulates_and_shares() {
-        let mut v = CostVector::new();
-        v.book(CostCategory::Chip, Money::new(70.0));
-        v.book(CostCategory::Substrate, Money::new(20.0));
-        v.book(CostCategory::Test, Money::new(10.0));
-        assert_eq!(v.total(), Money::new(100.0));
-        assert!((v.share(CostCategory::Chip) - 0.7).abs() < 1e-12);
-        assert_eq!(v.share(CostCategory::Packaging), 0.0);
-        assert_eq!(CostVector::new().share(CostCategory::Chip), 0.0);
-    }
-
-    #[test]
     fn vector_add_and_scale() {
         let mut a = CostVector::new();
         a.book(CostCategory::Chip, Money::new(1.0));
@@ -352,7 +255,9 @@ mod tests {
     #[test]
     fn vector_iter_in_display_order() {
         let mut v = CostVector::new();
-        v.book(CostCategory::Other, Money::new(1.0));
+        // Bookings under one category accumulate.
+        v.book(CostCategory::Other, Money::new(0.25));
+        v.book(CostCategory::Other, Money::new(0.75));
         let items: Vec<_> = v.iter().collect();
         assert_eq!(items.len(), CostCategory::COUNT);
         assert_eq!(items[0].0, CostCategory::Chip);
@@ -362,7 +267,6 @@ mod tests {
     #[test]
     fn step_cost_terms() {
         assert_eq!(StepCost::ZERO.total(), Money::ZERO);
-        assert!(StepCost::ZERO.is_zero());
         assert_eq!(StepCost::fixed(Money::new(7.3)).total(), Money::new(7.3));
         assert_eq!(
             StepCost::per_item(Money::new(0.01), 112).total(),
@@ -370,29 +274,6 @@ mod tests {
         );
         let a = StepCost::per_area(Money::new(2.25), Area::from_cm2(2.6));
         assert!((a.total().units() - 5.85).abs() < 1e-12);
-    }
-
-    #[test]
-    fn step_cost_combines() {
-        let c = StepCost::fixed(Money::new(1.0))
-            .and(StepCost::per_item(Money::new(0.1), 10))
-            .and(StepCost::per_area(Money::new(2.0), Area::from_cm2(3.0)));
-        assert!((c.total().units() - (1.0 + 1.0 + 6.0)).abs() < 1e-12);
-        assert_eq!(c.items(), 10);
-    }
-
-    #[test]
-    fn step_cost_merges_same_rates() {
-        let c =
-            StepCost::per_item(Money::new(0.01), 100).and(StepCost::per_item(Money::new(0.01), 12));
-        assert_eq!(c.items(), 112);
-    }
-
-    #[test]
-    #[should_panic(expected = "different rates")]
-    fn step_cost_rejects_mixed_rates() {
-        let _ =
-            StepCost::per_item(Money::new(0.01), 100).and(StepCost::per_item(Money::new(0.02), 12));
     }
 
     #[test]

@@ -17,9 +17,8 @@
 //! * [`Severity::Info`] — an observation (a cost category the flow
 //!   never books); never a failure.
 //!
-//! The report renders through the `ipass-report` sinks via
-//! [`Diagnostics::artifact`], which is how `ipass lint` and the docs
-//! book surface it.
+//! `ipass lint` prints each diagnostic's one-line `Display`; the docs
+//! book's `lint` page builds its findings table from the same items.
 
 use std::fmt;
 
@@ -122,16 +121,6 @@ impl Diagnostics {
         self.items.iter()
     }
 
-    /// Number of diagnostics (all severities).
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the report is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
     /// Number of diagnostics at exactly `severity`.
     pub fn count(&self, severity: Severity) -> usize {
         self.items.iter().filter(|d| d.severity == severity).count()
@@ -147,22 +136,6 @@ impl Diagnostics {
     /// (warnings + errors; infos never fail).
     pub fn deny_warnings_failures(&self) -> usize {
         self.count(Severity::Warning) + self.count(Severity::Error)
-    }
-
-    /// The renderable [`Findings`](ipass_report::Findings) form for the
-    /// `ipass-report` sinks.
-    pub fn artifact(&self) -> ipass_report::Findings {
-        let mut findings = ipass_report::Findings::new(format!("lint — {}", self.flow));
-        for d in &self.items {
-            findings.push(d.severity.to_string(), d.code, &d.path, &d.message);
-        }
-        findings.note(format!(
-            "{} error(s), {} warning(s), {} info(s); \
-             `ipass lint --deny-warnings` fails on warnings and errors",
-            self.count(Severity::Error),
-            self.count(Severity::Warning),
-            self.count(Severity::Info),
-        ))
     }
 }
 
@@ -211,7 +184,7 @@ mod tests {
     #[test]
     fn counts_and_gates() {
         let d = report();
-        assert_eq!(d.len(), 3);
+        assert_eq!(d.iter().count(), 3);
         assert_eq!(d.count(Severity::Warning), 1);
         assert!(d.has_errors());
         assert_eq!(d.deny_warnings_failures(), 2);
@@ -223,13 +196,5 @@ mod tests {
         let text = report().to_string();
         assert_eq!(text.lines().count(), 3);
         assert!(text.contains("error[threshold-mismatch] p: stored threshold disagrees"));
-    }
-
-    #[test]
-    fn artifact_carries_every_item_and_the_counts_note() {
-        let findings = report().artifact();
-        assert_eq!(findings.len(), 3);
-        assert_eq!(findings.title, "lint — demo");
-        assert!(findings.notes[0].contains("1 error(s), 1 warning(s), 1 info(s)"));
     }
 }

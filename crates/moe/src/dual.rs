@@ -375,21 +375,6 @@ impl DualDirection {
         self.parts.push((slot.into(), kind, weight));
         self
     }
-
-    /// The unit direction along one cost slot (∂/∂ unit cost).
-    pub fn cost(slot: impl Into<String>) -> DualDirection {
-        DualDirection::new().with(slot, SlotKind::Cost, 1.0)
-    }
-
-    /// The unit direction along one yield slot (∂/∂ per-unit yield).
-    pub fn step_yield(slot: impl Into<String>) -> DualDirection {
-        DualDirection::new().with(slot, SlotKind::Yield, 1.0)
-    }
-
-    /// The unit direction along one coverage slot (∂/∂ coverage).
-    pub fn coverage(slot: impl Into<String>) -> DualDirection {
-        DualDirection::new().with(slot, SlotKind::Coverage, 1.0)
-    }
 }
 
 /// Exact directional derivatives of one evaluated flow along one
@@ -411,13 +396,6 @@ pub struct Gradient {
     /// ∂(per-category cost per shipped unit)/∂direction, indexed by
     /// [`CostCategory::index`].
     pub by_category: [f64; CostCategory::COUNT],
-}
-
-impl Gradient {
-    /// The per-category derivative for `category`.
-    pub fn category(&self, category: CostCategory) -> f64 {
-        self.by_category[category.index()]
-    }
 }
 
 /// The result of a dual pass: the primal report (bit-identical to
@@ -486,7 +464,10 @@ mod tests {
 
     #[test]
     fn direction_builders_compose() {
-        let d = DualDirection::cost("a").with("b", SlotKind::Yield, -0.5);
+        let d =
+            DualDirection::new()
+                .with("a", SlotKind::Cost, 1.0)
+                .with("b", SlotKind::Yield, -0.5);
         assert_eq!(
             d.parts,
             vec![

@@ -188,22 +188,6 @@ impl Line {
         push(&mut out, "Sink", "SCRAP", String::new());
         out
     }
-
-    /// Total number of stages including nested lines (useful for model
-    /// size reporting).
-    pub fn stage_count(&self) -> usize {
-        let mut n = self.stages.len();
-        for stage in &self.stages {
-            if let Stage::Attach(attach) = stage {
-                for (input, _) in attach.inputs() {
-                    if let AttachInput::Line(sub) = input {
-                        n += 1 + sub.stage_count();
-                    }
-                }
-            }
-        }
-        n
-    }
 }
 
 /// Builder for [`Line`] (see [`Line::builder`]).
@@ -230,12 +214,6 @@ impl LineBuilder {
     /// Append a test stage.
     pub fn test(mut self, t: Test) -> LineBuilder {
         self.stages.push(Stage::Test(t));
-        self
-    }
-
-    /// Append any pre-built stage.
-    pub fn stage(mut self, s: impl Into<Stage>) -> LineBuilder {
-        self.stages.push(s.into());
         self
     }
 
@@ -301,21 +279,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, FlowError::EmptyLine { .. }));
-    }
-
-    #[test]
-    fn stage_count_includes_nesting() {
-        let sub = Line::builder("sub", carrier())
-            .process(Process::new("p1"))
-            .build()
-            .unwrap();
-        let line = Line::builder("outer", carrier())
-            .attach(Attach::new("join").input(sub, 2))
-            .test(Test::new("t"))
-            .build()
-            .unwrap();
-        // outer: attach + test = 2, nested: 1 line marker + 1 stage = 2.
-        assert_eq!(line.stage_count(), 4);
     }
 
     #[test]

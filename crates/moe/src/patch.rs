@@ -154,18 +154,9 @@ impl CompiledFlow {
         analytic::analyze_program(&self.program, self.nre, self.volume)
     }
 
-    /// Evaluate the unpatched program by seeded Monte Carlo (identical
-    /// to [`Flow::simulate`](crate::Flow::simulate)).
-    ///
-    /// # Errors
-    ///
-    /// See [`Flow::simulate`](crate::Flow::simulate).
-    pub fn simulate(&self, options: &SimOptions) -> Result<CostReport, FlowError> {
-        self.simulate_summary(options).map(|s| s.report)
-    }
-
-    /// Like [`CompiledFlow::simulate`] but returns the extra Monte
-    /// Carlo statistics.
+    /// Evaluate the unpatched program by seeded Monte Carlo: the report
+    /// [`Flow::simulate`](crate::Flow::simulate) returns, plus the extra
+    /// Monte Carlo statistics.
     ///
     /// # Errors
     ///
@@ -613,6 +604,11 @@ mod tests {
     use crate::yield_model::YieldModel;
     use crate::Flow;
 
+    /// The unit direction along one slot.
+    fn along(slot: &str, kind: SlotKind) -> DualDirection {
+        DualDirection::new().with(slot, kind, 1.0)
+    }
+
     fn p(v: f64) -> Probability {
         Probability::new(v).unwrap()
     }
@@ -887,11 +883,11 @@ mod tests {
     fn dual_primal_is_bit_identical_to_analyze() {
         let base = flow(10.0, 0.9).compiled().unwrap();
         let dirs = [
-            DualDirection::cost("c"),
-            DualDirection::cost("a/die"),
-            DualDirection::step_yield("p"),
-            DualDirection::step_yield("a/die"),
-            DualDirection::coverage("ft"),
+            along("c", SlotKind::Cost),
+            along("a/die", SlotKind::Cost),
+            along("p", SlotKind::Yield),
+            along("a/die", SlotKind::Yield),
+            along("ft", SlotKind::Coverage),
         ];
         let dual = base.analyze_duals(&dirs).unwrap();
         assert_eq!(dual.report, base.analyze().unwrap());
@@ -903,11 +899,11 @@ mod tests {
         let base = flow(10.0, 0.9).compiled().unwrap();
         let dual = base
             .analyze_duals(&[
-                DualDirection::cost("c"),
-                DualDirection::cost("a/die"),
-                DualDirection::step_yield("p"),
-                DualDirection::step_yield("a/die"),
-                DualDirection::coverage("ft"),
+                along("c", SlotKind::Cost),
+                along("a/die", SlotKind::Cost),
+                along("p", SlotKind::Yield),
+                along("a/die", SlotKind::Yield),
+                along("ft", SlotKind::Coverage),
             ])
             .unwrap();
         let h = 1e-6;
@@ -977,8 +973,8 @@ mod tests {
         let dual = base
             .analyze_duals(&[
                 combined,
-                DualDirection::cost("c"),
-                DualDirection::cost("a/die"),
+                along("c", SlotKind::Cost),
+                along("a/die", SlotKind::Cost),
             ])
             .unwrap();
         let lhs = dual.gradients[0].final_cost_per_shipped;
@@ -991,7 +987,7 @@ mod tests {
     fn dual_directions_resolve_like_the_setters() {
         let base = flow(10.0, 0.9).compiled().unwrap();
         let err = base
-            .analyze_duals(&[DualDirection::cost("ghost")])
+            .analyze_duals(&[along("ghost", SlotKind::Cost)])
             .unwrap_err();
         assert!(matches!(err, FlowError::UnknownPatchSlot { .. }));
         // No-direction call degenerates to a plain analyze.
@@ -1005,8 +1001,8 @@ mod tests {
         // 20 directions forces two chunks (16 + 4); lane bookkeeping
         // must not bleed across chunk boundaries.
         let base = flow(10.0, 0.9).compiled().unwrap();
-        let one = base.analyze_duals(&[DualDirection::cost("c")]).unwrap();
-        let many: Vec<DualDirection> = (0..20).map(|_| DualDirection::cost("c")).collect();
+        let one = base.analyze_duals(&[along("c", SlotKind::Cost)]).unwrap();
+        let many: Vec<DualDirection> = (0..20).map(|_| along("c", SlotKind::Cost)).collect();
         let wide = base.analyze_duals(&many).unwrap();
         assert_eq!(wide.report, one.report);
         assert_eq!(wide.gradients.len(), 20);
@@ -1023,7 +1019,7 @@ mod tests {
         assert_eq!(compiled.analyze().unwrap(), f.analyze().unwrap());
         let opts = SimOptions::new(5_000).with_seed(11);
         assert_eq!(
-            compiled.simulate(&opts).unwrap(),
+            compiled.simulate_summary(&opts).unwrap().report,
             f.simulate(&opts).unwrap()
         );
     }

@@ -154,16 +154,6 @@ impl CostFigures {
         &self.by_category
     }
 
-    /// NRE configured for the production run.
-    pub fn nre(&self) -> Money {
-        self.nre
-    }
-
-    /// Production volume over which NRE is amortized.
-    pub fn volume(&self) -> u64 {
-        self.volume
-    }
-
     /// Average cost accumulated by one *shipped* unit (the "direct cost"
     /// bar of Fig. 5).
     pub fn direct_cost_per_shipped(&self) -> Money {
@@ -207,11 +197,6 @@ impl CostFigures {
         } else {
             self.by_category[category] / self.shipped
         }
-    }
-
-    /// Final cost relative to a reference (1.0 = same cost).
-    pub fn relative_cost(&self, reference: &CostFigures) -> f64 {
-        self.final_cost_per_shipped() / reference.final_cost_per_shipped()
     }
 
     /// Rows for a stacked Fig. 5-style breakdown: direct cost (with the
@@ -276,11 +261,6 @@ impl CostReport {
         }
     }
 
-    /// Name of the evaluated flow.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Fraction of started units that received their first defect at each
     /// stage/part, sorted descending ("yield pareto").
     pub fn defect_pareto(&self) -> &[(String, f64)] {
@@ -325,28 +305,6 @@ impl CostReport {
                 .numeric_column("value", 4),
             |t, (label, v)| t.row(vec![Cell::text(label), Cell::num(v)]),
         )
-    }
-
-    /// The report as a Fig. 5-style stacked [`Breakdown`] bar: direct
-    /// cost, yield loss and (when configured) NRE per shipped unit,
-    /// with the chip spend as a non-additive callout.
-    ///
-    /// [`Breakdown`]: ipass_report::Breakdown
-    pub fn artifact_breakdown(&self) -> ipass_report::Breakdown {
-        use ipass_report::Segment;
-        let mut segments = vec![
-            Segment::new("direct cost", self.direct_cost_per_shipped().units()),
-            Segment::new("yield loss", self.yield_loss_per_shipped().units()),
-        ];
-        if self.nre().units() > 0.0 {
-            segments.push(Segment::new("NRE", self.nre_per_shipped().units()));
-        }
-        let callouts = vec![Segment::new(
-            "chip cost",
-            self.category_cost_per_shipped(CostCategory::Chip).units(),
-        )];
-        ipass_report::Breakdown::new(format!("cost breakdown — {}", self.name), "cost units")
-            .group_with_callouts(self.name.clone(), segments, callouts)
     }
 
     /// Render a human-readable report table.
@@ -449,12 +407,6 @@ mod tests {
         let r = report();
         assert!((r.escapes() - 0.01).abs() < 1e-12);
         assert!((r.escape_rate() - 0.0125).abs() < 1e-12);
-    }
-
-    #[test]
-    fn relative_cost_is_unity_against_self() {
-        let r = report();
-        assert!((r.relative_cost(&r) - 1.0).abs() < 1e-12);
     }
 
     #[test]

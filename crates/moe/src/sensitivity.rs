@@ -158,6 +158,7 @@ impl fmt::Display for Tornado {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compile::SlotKind;
     use crate::cost::{CostCategory, StepCost};
     use crate::flow::Flow;
     use crate::line::Line;
@@ -304,13 +305,13 @@ mod tests {
             &[
                 TornadoDirection {
                     name: "part cost ±10%",
-                    direction: DualDirection::cost("c"),
+                    direction: DualDirection::new().with("c", SlotKind::Cost, 1.0),
                     low: -1.0,
                     high: 1.0,
                 },
                 TornadoDirection {
                     name: "process yield ±5pts",
-                    direction: DualDirection::step_yield("p"),
+                    direction: DualDirection::new().with("p", SlotKind::Yield, 1.0),
                     low: -0.05,
                     high: 0.05,
                 },

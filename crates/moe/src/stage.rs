@@ -102,7 +102,6 @@ pub struct Attach {
     inputs: Vec<(AttachInput, u32)>,
     cost: StepCost,
     yield_: YieldModel,
-    category: CostCategory,
 }
 
 impl Attach {
@@ -113,7 +112,6 @@ impl Attach {
             inputs: Vec::new(),
             cost: StepCost::ZERO,
             yield_: YieldModel::Certain,
-            category: CostCategory::Assembly,
         }
     }
 
@@ -123,8 +121,8 @@ impl Attach {
         self
     }
 
-    /// Set the assembly operation cost (booked under this stage's
-    /// category, not the parts' categories).
+    /// Set the assembly operation cost (booked under
+    /// [`CostCategory::Assembly`], not the parts' categories).
     pub fn with_cost(mut self, cost: StepCost) -> Attach {
         self.cost = cost;
         self
@@ -134,12 +132,6 @@ impl Attach {
     /// quality is carried by each part's incoming yield).
     pub fn with_yield(mut self, y: YieldModel) -> Attach {
         self.yield_ = y;
-        self
-    }
-
-    /// Set the accounting category of the operation cost.
-    pub fn with_category(mut self, category: CostCategory) -> Attach {
-        self.category = category;
         self
     }
 
@@ -163,9 +155,10 @@ impl Attach {
         &self.yield_
     }
 
-    /// The accounting category.
+    /// The accounting category of the operation cost: always
+    /// [`CostCategory::Assembly`].
     pub fn category(&self) -> CostCategory {
-        self.category
+        CostCategory::Assembly
     }
 }
 

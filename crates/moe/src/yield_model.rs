@@ -1,7 +1,7 @@
 //! Yield models: how likely a part or stage is to leave the unit
 //! defect-free.
 
-use ipass_units::{Area, Probability};
+use ipass_units::Probability;
 use std::fmt;
 
 /// Classic wafer/substrate defect-density yield models.
@@ -61,16 +61,12 @@ impl DefectModel {
 /// # Examples
 ///
 /// ```
-/// use ipass_moe::{DefectModel, YieldModel};
-/// use ipass_units::{Area, Probability};
+/// use ipass_moe::YieldModel;
+/// use ipass_units::Probability;
 ///
 /// // 212 wire bonds, each 99.99 % reliable:
 /// let wb = YieldModel::per_item(Probability::new(0.9999)?, 212);
 /// assert!((wb.value().value() - 0.9999f64.powi(212)).abs() < 1e-12);
-///
-/// // MCM-D substrate, 0.05 defects/cm² Poisson over 8.1 cm²:
-/// let sub = YieldModel::defect_density(0.05, Area::from_cm2(8.1), DefectModel::Poisson);
-/// assert!((sub.value().value() - (-0.405f64).exp()).abs() < 1e-12);
 /// # Ok::<(), ipass_units::ProbabilityError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -86,23 +82,6 @@ pub enum YieldModel {
         each: Probability,
         /// Number of items.
         items: u32,
-    },
-    /// `per_cm2^area`: compounded per-area yield, the alternative reading
-    /// of the paper's Table 2 "yield per cm²".
-    PerArea {
-        /// Yield of one cm².
-        per_cm2: Probability,
-        /// Area over which to compound.
-        area: Area,
-    },
-    /// Defect-density model over an area.
-    DefectDensity {
-        /// Killer defects per cm².
-        defects_per_cm2: f64,
-        /// Substrate area.
-        area: Area,
-        /// Statistical model translating `λ` into yield.
-        model: DefectModel,
     },
 }
 
@@ -130,36 +109,12 @@ impl YieldModel {
         YieldModel::PerItem { each, items }
     }
 
-    /// Compounded per-area yield.
-    pub fn per_area(per_cm2: Probability, area: Area) -> YieldModel {
-        YieldModel::PerArea { per_cm2, area }
-    }
-
-    /// Defect-density yield over an area.
-    pub fn defect_density(defects_per_cm2: f64, area: Area, model: DefectModel) -> YieldModel {
-        assert!(
-            defects_per_cm2 >= 0.0 && !defects_per_cm2.is_nan(),
-            "defect density must be non-negative, got {defects_per_cm2}"
-        );
-        YieldModel::DefectDensity {
-            defects_per_cm2,
-            area,
-            model,
-        }
-    }
-
     /// The resulting probability that no defect is introduced.
     pub fn value(&self) -> Probability {
         match *self {
             YieldModel::Certain => Probability::ONE,
             YieldModel::Flat(p) => p,
             YieldModel::PerItem { each, items } => each.powi(items),
-            YieldModel::PerArea { per_cm2, area } => per_cm2.powf(area.cm2()),
-            YieldModel::DefectDensity {
-                defects_per_cm2,
-                area,
-                model,
-            } => model.yield_at(defects_per_cm2 * area.cm2()),
         }
     }
 }
@@ -197,12 +152,6 @@ mod tests {
         let y = YieldModel::per_item(p(0.9999), 112).value();
         assert!((y.value() - 0.9999f64.powi(112)).abs() < 1e-12);
         assert!(YieldModel::per_item(p(0.5), 0).value().is_certain());
-    }
-
-    #[test]
-    fn per_area_compounds() {
-        let y = YieldModel::per_area(p(0.99), Area::from_cm2(8.1)).value();
-        assert!((y.value() - 0.99f64.powf(8.1)).abs() < 1e-12);
     }
 
     #[test]
@@ -266,13 +215,6 @@ mod tests {
                 let y = m.yield_at(lambda).value();
                 prop_assert!((0.0..=1.0).contains(&y), "{:?} at {} gave {}", m, lambda, y);
             }
-        }
-
-        #[test]
-        fn yield_decreases_with_area(d in 0.001f64..1.0, a1 in 0.1f64..10.0, extra in 0.1f64..10.0) {
-            let small = YieldModel::defect_density(d, Area::from_cm2(a1), DefectModel::Poisson).value();
-            let large = YieldModel::defect_density(d, Area::from_cm2(a1 + extra), DefectModel::Poisson).value();
-            prop_assert!(large.value() <= small.value());
         }
     }
 }

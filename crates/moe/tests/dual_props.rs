@@ -273,7 +273,7 @@ proptest! {
             Ok(c) => c,
             Err(_) => return Ok(()),
         };
-        let directions = [DualDirection::cost("carrier")];
+        let directions = [DualDirection::new().with("carrier", SlotKind::Cost, 1.0)];
         match (compiled.analyze(), compiled.analyze_duals(&directions)) {
             (Ok(plain), Ok(dual)) => {
                 let bits = |v: f64| v.to_bits();

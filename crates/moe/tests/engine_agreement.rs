@@ -139,7 +139,7 @@ proptest! {
             analytic.escape_rate()
         );
         // Category totals are conserved: Σ categories = total spend.
-        let cat_total = analytic.by_category().total();
+        let cat_total: Money = analytic.by_category().iter().map(|(_, m)| m).sum();
         prop_assert!(
             (cat_total.units() - analytic.total_spend().units()).abs() < 1e-6,
             "category sum {} vs total {}",

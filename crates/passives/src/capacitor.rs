@@ -44,7 +44,6 @@ const MAX_FARADS: f64 = 50e-9;
 pub struct MimCapacitor {
     target: Capacitance,
     film: DielectricFilm,
-    plate_side_mm: f64,
     area: Area,
 }
 
@@ -99,24 +98,8 @@ impl MimCapacitor {
         Ok(MimCapacitor {
             target,
             film,
-            plate_side_mm,
             area: Area::from_mm2(side * side),
         })
-    }
-
-    /// The target capacitance.
-    pub fn capacitance(&self) -> Capacitance {
-        self.target
-    }
-
-    /// The dielectric film used.
-    pub fn film(&self) -> &DielectricFilm {
-        &self.film
-    }
-
-    /// Side length of the (square) top plate, in mm.
-    pub fn plate_side_mm(&self) -> f64 {
-        self.plate_side_mm
     }
 
     /// Substrate area consumed, including overlay margin.

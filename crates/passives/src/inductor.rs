@@ -65,7 +65,6 @@ pub struct SpiralInductor {
     inner_um: f64,
     width_um: f64,
     space_um: f64,
-    length_mm: f64,
     dc_resistance: f64,
     metal_thickness_um: f64,
     metal_rho_ohm_m: f64,
@@ -175,7 +174,6 @@ impl SpiralInductor {
             inner_um,
             width_um: w,
             space_um: s,
-            length_mm,
             dc_resistance,
             metal_thickness_um: process.metal_thickness_um(),
             metal_rho_ohm_m: sheet_ohm * process.metal_thickness_um() * 1e-6,
@@ -219,11 +217,6 @@ impl SpiralInductor {
         }))
     }
 
-    /// The target inductance.
-    pub fn inductance(&self) -> Inductance {
-        self.target
-    }
-
     /// Number of turns.
     pub fn turns(&self) -> u32 {
         self.turns
@@ -242,16 +235,6 @@ impl SpiralInductor {
     /// Line width in µm.
     pub fn width_um(&self) -> f64 {
         self.width_um
-    }
-
-    /// Total wound length in mm.
-    pub fn length_mm(&self) -> f64 {
-        self.length_mm
-    }
-
-    /// DC series resistance in Ω.
-    pub fn dc_resistance_ohm(&self) -> f64 {
-        self.dc_resistance
     }
 
     /// Substrate area consumed (outer diameter square plus one spacing of
@@ -273,11 +256,6 @@ impl SpiralInductor {
             x / (1.0 - (-x).exp())
         };
         self.dc_resistance * skin * self.substrate_loss_factor
-    }
-
-    /// Parasitic capacitance to substrate, in pF.
-    pub fn parasitic_pf(&self) -> f64 {
-        self.parasitic_pf
     }
 
     /// Self-resonant frequency.

@@ -164,11 +164,6 @@ impl ThinFilmProcess {
         }
     }
 
-    /// Process name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// Minimum line width for passives, in µm.
     pub fn min_line_um(&self) -> f64 {
         self.min_line_um

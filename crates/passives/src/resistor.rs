@@ -147,19 +147,9 @@ impl ThinFilmResistor {
         })
     }
 
-    /// The target resistance.
-    pub fn resistance(&self) -> Resistance {
-        self.target
-    }
-
     /// The number of film squares.
     pub fn squares(&self) -> f64 {
         self.squares
-    }
-
-    /// The line width in µm.
-    pub fn width_um(&self) -> f64 {
-        self.width_um
     }
 
     /// The number of meander legs (1 = straight line).

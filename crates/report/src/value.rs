@@ -215,9 +215,9 @@ pub struct Finding {
 /// ```
 /// use ipass_report::Findings;
 ///
-/// let f = Findings::new("lint — demo flow")
-///     .finding("warning", "zero-coverage-test", "ft", "test detects nothing")
-///     .note("1 finding");
+/// let mut f = Findings::new("lint — demo flow");
+/// f.push("warning", "zero-coverage-test", "ft", "test detects nothing");
+/// let f = f.note("1 finding");
 /// assert!(f.to_csv().starts_with("severity,code,path,message"));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -241,19 +241,6 @@ impl Findings {
     }
 
     /// Append one finding.
-    #[must_use]
-    pub fn finding(
-        mut self,
-        severity: impl Into<String>,
-        code: impl Into<String>,
-        path: impl Into<String>,
-        message: impl Into<String>,
-    ) -> Findings {
-        self.push(severity, code, path, message);
-        self
-    }
-
-    /// Append one finding in place.
     pub fn push(
         &mut self,
         severity: impl Into<String>,
@@ -274,16 +261,6 @@ impl Findings {
     pub fn note(mut self, note: impl Into<String>) -> Findings {
         self.notes.push(note.into());
         self
-    }
-
-    /// Number of findings.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Whether the list carries no findings.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
     }
 
     /// Per-severity counts, keyed by severity name in first-seen order.
@@ -459,12 +436,6 @@ impl Series {
             name: name.into(),
             values,
         });
-        self
-    }
-
-    /// Append a footnote.
-    pub fn note(mut self, note: impl Into<String>) -> Series {
-        self.notes.push(note.into());
         self
     }
 

@@ -1,38 +1,40 @@
-//! Golden renders of a [`Diagnostics`] report through the
-//! `ipass-report` sinks: the aligned-text and JSON forms of a report
-//! carrying at least one diagnostic of every severity are pinned
-//! byte-for-byte, so the `ipass lint` output and the docs-book artifact
-//! stay stable (the `regen` drift gate relies on deterministic bytes).
+//! Golden renders of a lint-style [`Findings`] list through the report
+//! sinks. The list holds one diagnostic of each severity (error,
+//! warning, info) and a counts note; its aligned-text and JSON renders
+//! are pinned byte for byte, and every format must render the same
+//! bytes twice (the `regen` drift gate relies on deterministic bytes).
 
-use ipass_moe::{Diagnostic, Diagnostics, Severity};
-use ipass_report::{Artifact, Format};
+use ipass_report::{Artifact, Findings, Format};
 
-fn report() -> Diagnostics {
-    let mut d = Diagnostics::new("demo flow");
-    d.push(Diagnostic::new(
-        Severity::Error,
+fn report() -> Findings {
+    let mut f = Findings::new("lint — demo flow");
+    f.push(
+        "error",
         "threshold-mismatch",
         "wire bonding",
         "stored draw threshold 42 but \u{2308}p\u{b7}2\u{2075}\u{b3}\u{2309} = 43 for p = 0.9",
-    ));
-    d.push(Diagnostic::new(
-        Severity::Warning,
+    );
+    f.push(
+        "warning",
         "zero-coverage-test",
         "final test",
         "test has zero fault coverage: it books cost but can detect nothing",
-    ));
-    d.push(Diagnostic::new(
-        Severity::Info,
+    );
+    f.push(
+        "info",
         "cost-category-never-booked",
         "program",
         "no op books the packaging category; its breakdown share is structurally zero",
-    ));
-    d
+    );
+    f.note(
+        "1 error(s), 1 warning(s), 1 info(s); \
+         `ipass lint --deny-warnings` fails on warnings and errors",
+    )
 }
 
 #[test]
 fn txt_render_is_pinned() {
-    let artifact = Artifact::Findings(report().artifact());
+    let artifact = Artifact::Findings(report());
     let txt = artifact.render(Format::Txt).unwrap();
     let expected = "\
 lint — demo flow
@@ -47,7 +49,7 @@ note: 1 error(s), 1 warning(s), 1 info(s); `ipass lint --deny-warnings` fails on
 
 #[test]
 fn json_render_is_pinned() {
-    let artifact = Artifact::Findings(report().artifact());
+    let artifact = Artifact::Findings(report());
     let json = artifact.render(Format::Json).unwrap();
     let expected = r#"{
   "kind": "findings",
@@ -87,7 +89,7 @@ fn json_render_is_pinned() {
 
 #[test]
 fn renders_are_deterministic_and_cover_every_severity() {
-    let artifact = Artifact::Findings(report().artifact());
+    let artifact = Artifact::Findings(report());
     for format in artifact.formats() {
         let once = artifact.render(format).unwrap();
         assert_eq!(once, artifact.render(format).unwrap(), "{format}");

@@ -54,11 +54,6 @@ impl CascadeStage {
         }
     }
 
-    /// Stage name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Stage gain in dB (negative for passive losses).
     pub fn gain_db(&self) -> f64 {
         self.gain_db
@@ -112,11 +107,6 @@ impl ChainBudget {
     pub fn new(stages: Vec<CascadeStage>) -> ChainBudget {
         assert!(!stages.is_empty(), "a chain needs at least one stage");
         ChainBudget { stages }
-    }
-
-    /// The stages in signal order.
-    pub fn stages(&self) -> &[CascadeStage] {
-        &self.stages
     }
 
     /// Total chain gain in dB.

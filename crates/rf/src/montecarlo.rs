@@ -11,7 +11,7 @@
 
 use crate::spec::FilterSpec;
 use crate::twoport::Ladder;
-use ipass_sim::{BinomialTally, Executor, MinMax, Sampler, SimRng, Welford};
+use ipass_sim::{BinomialTally, Executor, Sampler, SimRng, Welford};
 
 /// The outcome of a tolerance Monte Carlo run.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,7 +52,8 @@ impl ToleranceYield {
 #[derive(Debug)]
 struct TolAcc {
     tally: BinomialTally,
-    worst: MinMax,
+    /// Worst passband loss so far (`−∞` when empty).
+    worst: f64,
     loss: Welford,
 }
 
@@ -71,7 +72,7 @@ where
     fn make_acc(&self) -> TolAcc {
         TolAcc {
             tally: BinomialTally::new(),
-            worst: MinMax::new(),
+            worst: f64::NEG_INFINITY,
             loss: Welford::new(),
         }
     }
@@ -80,14 +81,14 @@ where
         let ladder = (self.build)(rng);
         let report = self.spec.evaluate(&ladder);
         acc.tally.push(report.meets_spec());
-        acc.worst.push(report.passband_loss_db());
+        acc.worst = acc.worst.max(report.passband_loss_db());
         acc.loss.push(report.passband_loss_db());
         Ok(())
     }
 
     fn merge(&self, into: &mut TolAcc, from: TolAcc) {
         into.tally.merge(&from.tally);
-        into.worst.merge(&from.worst);
+        into.worst = into.worst.max(from.worst);
         into.loss.merge(&from.loss);
     }
 }
@@ -162,7 +163,7 @@ where
     };
     ToleranceYield {
         tally: acc.tally,
-        worst_passband_loss_db: acc.worst.max(),
+        worst_passband_loss_db: acc.worst,
         loss: acc.loss,
     }
 }

@@ -77,11 +77,6 @@ impl FilterSpec {
         &self.name
     }
 
-    /// The passband center frequency.
-    pub fn passband_center(&self) -> Frequency {
-        self.passband_center
-    }
-
     /// The passband loss budget in dB.
     pub fn max_passband_loss_db(&self) -> f64 {
         self.max_passband_loss_db

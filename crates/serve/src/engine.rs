@@ -228,12 +228,10 @@ impl Engine {
                 "cache",
                 // The registry in the legacy cache shape: misses are the
                 // flows compiled at registration, hits the lookups
-                // served from them, and nothing is ever dropped.
+                // served from them.
                 Json::obj(vec![
                     ("hits", count(self.registry.lookups())),
                     ("misses", count(self.registry.len() as u64)),
-                    ("dropped", count(0)),
-                    ("poisoned", count(0)),
                 ]),
             ),
             (
@@ -357,8 +355,8 @@ mod tests {
         let cache = json::field_value(&resp, "cache").unwrap();
         assert_eq!(json::number_field(cache, "hits"), Some(2.0));
         assert_eq!(json::number_field(cache, "misses"), Some(1.0));
-        assert_eq!(json::number_field(cache, "dropped"), Some(0.0));
-        assert_eq!(json::number_field(cache, "poisoned"), Some(0.0));
+        assert_eq!(json::number_field(cache, "dropped"), None);
+        assert_eq!(json::number_field(cache, "poisoned"), None);
         // The patch's two slot writes reach the engine plane.
         let engine = json::field_value(&resp, "engine").unwrap();
         assert_eq!(json::number_field(engine, "patch_writes"), Some(2.0));

@@ -89,17 +89,6 @@ impl Server {
         self.addr
     }
 
-    /// The engine's cumulative [`ipass_obs::RunStats`] snapshot.
-    pub fn run_stats(&self) -> ipass_obs::RunStats {
-        self.engine.run_stats()
-    }
-
-    /// Whether shutdown has been requested (by verb or by
-    /// [`Server::shutdown`]).
-    pub fn shutdown_requested(&self) -> bool {
-        self.engine.shutdown_requested()
-    }
-
     /// Request shutdown programmatically and wake the accept loop.
     pub fn shutdown(&self) {
         self.engine.request_shutdown();

@@ -154,8 +154,7 @@ mod tests {
             acc: &mut u64,
         ) -> Result<(), Self::Error> {
             for unit in lo..hi {
-                let (key, ctr) = SimRng::stream(seed, unit).state();
-                *acc = acc.wrapping_add(SimRng::raw_u64(key, ctr) & 0xFF);
+                *acc = acc.wrapping_add(SimRng::stream(seed, unit).next_u64() & 0xFF);
             }
             Ok(())
         }

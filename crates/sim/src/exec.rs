@@ -216,11 +216,6 @@ impl Executor {
         )
     }
 
-    /// Configured worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Run `units` units of `sampler` under `seed` and return the merged
     /// accumulator. Scalar [`Sampler`]s run here too, through the
     /// blanket [`BatchSampler`] impl.
@@ -609,7 +604,7 @@ mod tests {
         }
 
         fn ci_half_width(&self, acc: &BinomialTally, z: f64) -> Option<f64> {
-            Some(acc.ci_half_width(z))
+            Some(acc.wilson_half_width(z))
         }
     }
 
@@ -670,7 +665,7 @@ mod tests {
             .unwrap();
         assert!(a.stopped_early);
         assert!(a.units_run < 1_000_000, "ran {}", a.units_run);
-        assert!(a.acc.ci_half_width(Z95) <= 0.01);
+        assert!(a.acc.wilson_half_width(Z95) <= 0.01);
         for threads in [2, 8] {
             let b = Executor::new(threads)
                 .run_with(&Coin { p: 0.2 }, 1_000_000, 3, &options)

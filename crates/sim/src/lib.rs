@@ -20,7 +20,7 @@
 //!   fixed-size chunks from a shared cursor; completed chunks fold into
 //!   a prefix strictly in chunk order, so results are **bit-identical
 //!   for any thread count**. Threads are a pure performance knob.
-//! * [`Welford`], [`BinomialTally`], [`MinMax`] — streaming statistics
+//! * [`Welford`], [`BinomialTally`] — streaming statistics
 //!   with deterministic merge.
 //! * [`StopRule`] — optional sequential early stopping once a target
 //!   confidence-interval half width is reached, evaluated at
@@ -71,7 +71,7 @@
 //! let parallel = Executor::new(8).run(&InBand, 40_000, 9).unwrap();
 //! assert_eq!(serial, parallel); // the determinism contract
 //! assert!(serial.fraction() > 0.95);
-//! assert!(serial.ci_half_width(Z95) < 0.005);
+//! assert!(serial.wilson_half_width(Z95) < 0.005);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -86,4 +86,4 @@ mod stats;
 pub use batch::BatchSampler;
 pub use exec::{Executor, RunOptions, RunOutcome, Sampler, StopRule};
 pub use rng::SimRng;
-pub use stats::{BinomialTally, MinMax, Welford, Z95, Z99};
+pub use stats::{BinomialTally, Welford, Z95, Z99};

@@ -80,20 +80,12 @@ impl SimRng {
         }
     }
 
-    /// Derive an independent child stream from this stream's identity.
-    ///
-    /// Useful when one logical unit spawns nested sampling work that
-    /// should not disturb the parent's draw sequence.
-    pub fn substream(&self, tag: u64) -> SimRng {
-        SimRng::stream(self.key, tag.wrapping_add(1))
-    }
-
     /// The stream's `(key, counter)` state.
     ///
     /// Batched kernels keep structure-of-arrays copies of many unit
-    /// streams and evaluate [`SimRng::raw_u64`] over them in tight
-    /// loops; `state` / [`SimRng::from_state`] convert between the two
-    /// representations without perturbing the draw sequence.
+    /// streams and walk their draws in tight loops; `state` /
+    /// [`SimRng::from_state`] convert between the two representations
+    /// without perturbing the draw sequence.
     #[inline]
     pub fn state(&self) -> (u64, u64) {
         (self.key, self.ctr)
@@ -105,23 +97,6 @@ impl SimRng {
     #[inline]
     pub fn from_state(key: u64, ctr: u64) -> SimRng {
         SimRng { key, ctr }
-    }
-
-    /// Draw number `ctr` of the stream keyed `key`, as a pure function —
-    /// exactly what [`SimRng::next_u64`] returns before advancing. The
-    /// stateless form batched kernels evaluate over a whole lane of
-    /// `(key, counter)` pairs per op.
-    #[inline]
-    pub fn raw_u64(key: u64, ctr: u64) -> u64 {
-        mix64(key.wrapping_add(ctr.wrapping_mul(GOLDEN)))
-    }
-
-    /// The 53-bit variant of [`SimRng::raw_u64`], matching
-    /// [`SimRng::next_u53`] — for comparing against a precomputed
-    /// [`SimRng::threshold`].
-    #[inline]
-    pub fn raw_u53(key: u64, ctr: u64) -> u64 {
-        SimRng::raw_u64(key, ctr) >> 11
     }
 
     /// The *mix input* of draw `ctr` on the stream keyed `key` — the
@@ -145,9 +120,10 @@ impl SimRng {
         h.wrapping_add(GOLDEN)
     }
 
-    /// Finalize a mix input into its 53-bit draw:
-    /// `mix_to_u53(mix_input(key, ctr)) == SimRng::raw_u53(key, ctr)`,
-    /// bit for bit.
+    /// Finalize a mix input into its 53-bit draw: `mix_to_u53(mix_input
+    /// (key, ctr))` is, bit for bit, the [`SimRng::next_u53`] draw a
+    /// stream at state `(key, ctr)` returns — for comparing against a
+    /// precomputed [`SimRng::threshold`].
     #[inline]
     pub fn mix_to_u53(h: u64) -> u64 {
         mix64(h) >> 11
@@ -363,26 +339,14 @@ mod tests {
     }
 
     #[test]
-    fn raw_draws_match_the_stateful_sequence() {
-        let mut r = SimRng::stream(17, 42);
+    fn mix_input_walk_reproduces_raw_draws() {
+        let mut r = SimRng::stream(23, 5);
         let (key, start) = r.state();
         assert_eq!(start, 0);
-        for j in 0..64 {
-            assert_eq!(SimRng::raw_u64(key, j), r.next_u64(), "draw {j}");
-        }
-        let mut r53 = SimRng::stream(17, 42);
-        for j in 0..64 {
-            assert_eq!(SimRng::raw_u53(key, j), r53.next_u53(), "draw {j}");
-        }
-    }
-
-    #[test]
-    fn mix_input_walk_reproduces_raw_draws() {
-        let (key, _) = SimRng::stream(23, 5).state();
         assert_eq!(SimRng::mix_input(key, 0), key);
         let mut h = key;
         for j in 0..64 {
-            assert_eq!(SimRng::mix_to_u53(h), SimRng::raw_u53(key, j), "draw {j}");
+            assert_eq!(SimRng::mix_to_u53(h), r.next_u53(), "draw {j}");
             assert_eq!(SimRng::ctr_of_mix_input(key, h), j, "ctr at {j}");
             h = SimRng::advance_mix_input(h);
         }
@@ -410,16 +374,5 @@ mod tests {
             assert_eq!(a.next_u64(), b.next_u64());
         }
         assert_eq!(a.state(), b.state());
-    }
-
-    #[test]
-    fn substreams_are_independent_of_parent_position() {
-        let parent = SimRng::from_seed(21);
-        let mut advanced = parent.clone();
-        let _ = advanced.next_u64();
-        // A substream is derived from identity, not from position.
-        let mut c1 = parent.substream(0);
-        let mut c2 = SimRng::from_seed(21).substream(0);
-        assert_eq!(c1.next_u64(), c2.next_u64());
     }
 }

@@ -10,7 +10,7 @@ pub const Z95: f64 = 1.959_963_984_540_054;
 /// Two-sided z value for a 99 % confidence interval.
 pub const Z99: f64 = 2.575_829_303_548_901;
 
-/// Welford online mean/variance accumulator.
+/// Welford online mean accumulator.
 ///
 /// # Examples
 ///
@@ -21,15 +21,12 @@ pub const Z99: f64 = 2.575_829_303_548_901;
 /// for x in [2.0, 4.0, 6.0] {
 ///     w.push(x);
 /// }
-/// assert_eq!(w.count(), 3);
 /// assert!((w.mean() - 4.0).abs() < 1e-12);
-/// assert!((w.sample_variance() - 4.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Welford {
     count: u64,
     mean: f64,
-    m2: f64,
 }
 
 impl Welford {
@@ -42,9 +39,7 @@ impl Welford {
     #[inline]
     pub fn push(&mut self, x: f64) {
         self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
+        self.mean += (x - self.mean) / self.count as f64;
     }
 
     /// Merge another accumulator into this one (Chan et al. pairwise
@@ -60,47 +55,12 @@ impl Welford {
         let total = self.count + other.count;
         let delta = other.mean - self.mean;
         self.mean += delta * other.count as f64 / total as f64;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
         self.count = total;
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
     }
 
     /// Running mean (0 for an empty accumulator).
     pub fn mean(&self) -> f64 {
         self.mean
-    }
-
-    /// Unbiased sample variance (0 with fewer than two observations).
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
-    /// Standard error of the mean.
-    pub fn std_error(&self) -> f64 {
-        if self.count == 0 {
-            f64::INFINITY
-        } else {
-            self.std_dev() / (self.count as f64).sqrt()
-        }
-    }
-
-    /// Confidence-interval half width at the given z value.
-    pub fn ci_half_width(&self, z: f64) -> f64 {
-        z * self.std_error()
     }
 }
 
@@ -116,7 +76,7 @@ impl Welford {
 ///     t.push(i % 4 != 0);
 /// }
 /// assert!((t.fraction() - 0.75).abs() < 1e-12);
-/// assert!(t.ci_half_width(Z95) < 0.03);
+/// assert!(t.wilson_half_width(Z95) < 0.03);
 /// let (lo, hi) = t.wilson_interval(Z95);
 /// assert!(lo < 0.75 && 0.75 < hi);
 /// ```
@@ -200,20 +160,10 @@ impl BinomialTally {
         }
     }
 
-    /// Normal-approximation (Wald) half width of the success fraction's
-    /// confidence interval at the given z value.
-    pub fn ci_half_width(&self, z: f64) -> f64 {
-        if self.trials == 0 {
-            return f64::INFINITY;
-        }
-        let p = self.fraction();
-        z * (p * (1.0 - p) / self.trials as f64).sqrt()
-    }
-
     /// Half width of the [Wilson interval](BinomialTally::wilson_interval)
-    /// — the right width for stopping rules, since unlike the Wald width
-    /// it does not collapse to zero while every trial is still landing
-    /// on the same side.
+    /// — the right width for stopping rules, since unlike the
+    /// normal-approximation (Wald) width it does not collapse to zero
+    /// while every trial is still landing on the same side.
     pub fn wilson_half_width(&self, z: f64) -> f64 {
         if self.trials == 0 {
             return f64::INFINITY;
@@ -250,52 +200,6 @@ impl BinomialTally {
     }
 }
 
-/// Running minimum/maximum tracker.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MinMax {
-    min: f64,
-    max: f64,
-}
-
-impl Default for MinMax {
-    fn default() -> MinMax {
-        MinMax {
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-}
-
-impl MinMax {
-    /// An empty tracker.
-    pub fn new() -> MinMax {
-        MinMax::default()
-    }
-
-    /// Record one observation.
-    #[inline]
-    pub fn push(&mut self, x: f64) {
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Merge another tracker into this one.
-    pub fn merge(&mut self, other: &MinMax) {
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Smallest observation (`+∞` when empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest observation (`−∞` when empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,9 +212,7 @@ mod tests {
             w.push(x);
         }
         let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
         assert!((w.mean() - mean).abs() < 1e-12);
-        assert!((w.sample_variance() - var).abs() < 1e-9);
     }
 
     #[test]
@@ -329,9 +231,7 @@ mod tests {
             right.push(x);
         }
         left.merge(&right);
-        assert_eq!(left.count(), whole.count());
         assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.sample_variance() - whole.sample_variance()).abs() < 1e-6);
     }
 
     #[test]
@@ -357,8 +257,8 @@ mod tests {
         for i in 0..10_000 {
             large.push(i % 2 == 0);
         }
-        assert!(large.ci_half_width(Z95) < small.ci_half_width(Z95));
-        assert!(small.ci_half_width(Z95) < 0.11);
+        assert!(large.wilson_half_width(Z95) < small.wilson_half_width(Z95));
+        assert!(small.wilson_half_width(Z95) < 0.11);
     }
 
     #[test]
@@ -369,20 +269,7 @@ mod tests {
         }
         let (lo, hi) = t.wilson_interval(Z95);
         assert!(hi <= 1.0 && lo > 0.8, "({lo}, {hi})");
-        assert!(BinomialTally::new().ci_half_width(Z95).is_infinite());
+        assert!(BinomialTally::new().wilson_half_width(Z95).is_infinite());
         assert_eq!(BinomialTally::new().wilson_interval(Z95), (0.0, 1.0));
-    }
-
-    #[test]
-    fn minmax_tracks() {
-        let mut m = MinMax::new();
-        for x in [3.0, -1.0, 7.0] {
-            m.push(x);
-        }
-        let mut other = MinMax::new();
-        other.push(9.0);
-        m.merge(&other);
-        assert_eq!(m.min(), -1.0);
-        assert_eq!(m.max(), 9.0);
     }
 }

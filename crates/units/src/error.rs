@@ -47,11 +47,6 @@ impl ParseQuantityError {
             kind: ParseErrorKind::BadPrefix,
         }
     }
-
-    /// The input string that failed to parse.
-    pub fn input(&self) -> &str {
-        &self.input
-    }
 }
 
 impl fmt::Display for ParseQuantityError {
@@ -92,11 +87,6 @@ impl ProbabilityError {
     pub(crate) fn new(value: f64) -> Self {
         ProbabilityError { value }
     }
-
-    /// The offending value.
-    pub fn value(&self) -> f64 {
-        self.value
-    }
 }
 
 impl fmt::Display for ProbabilityError {
@@ -121,11 +111,9 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.starts_with("unknown"));
         assert!(msg.contains("1 q"));
-        assert_eq!(e.input(), "1 q");
 
         let p = ProbabilityError::new(-0.5);
         assert!(p.to_string().contains("-0.5"));
-        assert_eq!(p.value(), -0.5);
     }
 
     #[test]

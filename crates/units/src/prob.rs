@@ -11,11 +11,9 @@ use std::ops::Mul;
 /// Yields compose multiplicatively: a module survives a process chain when
 /// every step succeeds, so the chain yield is the product of the step
 /// yields. `Probability` implements [`Mul`] and [`Product`] for exactly
-/// this composition, plus helpers for per-item repetition ([`powi`]) and
-/// complements ([`complement`]).
+/// this composition, plus a helper for per-item repetition ([`powi`]).
 ///
 /// [`powi`]: Probability::powi
-/// [`complement`]: Probability::complement
 ///
 /// # Examples
 ///
@@ -87,12 +85,6 @@ impl Probability {
         self.0 * 100.0
     }
 
-    /// `1 − p`: the probability of the complementary event (e.g. the
-    /// defect rate of a yield).
-    pub fn complement(self) -> Probability {
-        Probability(1.0 - self.0)
-    }
-
     /// `pⁿ`: the yield of `n` independent repetitions (per-bond, per-SMD
     /// placements). `powi(0)` is [`Probability::ONE`].
     ///
@@ -124,11 +116,6 @@ impl Probability {
     /// Whether this probability is exactly 1.
     pub fn is_certain(self) -> bool {
         self.0 == 1.0
-    }
-
-    /// Whether this probability is exactly 0.
-    pub fn is_never(self) -> bool {
-        self.0 == 0.0
     }
 }
 
@@ -199,12 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn complement_roundtrips() {
-        let p = Probability::new(0.933).unwrap();
-        assert!((p.complement().complement().value() - 0.933).abs() < 1e-15);
-    }
-
-    #[test]
     fn product_of_chain() {
         let chain: Probability = [0.95, 0.99, 0.968]
             .iter()
@@ -272,12 +253,6 @@ mod tests {
             let by_pow = p.powi(n);
             let by_mul: Probability = std::iter::repeat_n(p, n as usize).product();
             prop_assert!((by_pow.value() - by_mul.value()).abs() < 1e-12);
-        }
-
-        #[test]
-        fn complement_is_involutive(a in 0.0f64..=1.0) {
-            let p = Probability::new(a).unwrap();
-            prop_assert!((p.complement().complement().value() - a).abs() < 1e-15);
         }
     }
 }

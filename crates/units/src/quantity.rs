@@ -36,21 +36,6 @@ macro_rules! quantity {
                 self.0
             }
 
-            /// Absolute value.
-            pub fn abs(self) -> $name {
-                $name(self.0.abs())
-            }
-
-            /// The larger of two quantities.
-            pub fn max(self, other: $name) -> $name {
-                $name(self.0.max(other.0))
-            }
-
-            /// The smaller of two quantities.
-            pub fn min(self, other: $name) -> $name {
-                $name(self.0.min(other.0))
-            }
-
             /// Linear interpolation: `self + t * (other - self)`.
             pub fn lerp(self, other: $name, t: f64) -> $name {
                 $name::new(self.0 + t * (other.0 - self.0))
@@ -215,11 +200,6 @@ impl Resistance {
     pub fn from_mega(mohms: f64) -> Resistance {
         Resistance::new(mohms * 1e6)
     }
-
-    /// Create from milliohms.
-    pub fn from_milli(milliohms: f64) -> Resistance {
-        Resistance::new(milliohms * 1e-3)
-    }
 }
 
 impl Capacitance {
@@ -242,11 +222,6 @@ impl Capacitance {
     pub fn picofarads(self) -> f64 {
         self.farads() * 1e12
     }
-
-    /// The value in nanofarads.
-    pub fn nanofarads(self) -> f64 {
-        self.farads() * 1e9
-    }
 }
 
 impl Inductance {
@@ -259,19 +234,9 @@ impl Inductance {
     pub fn from_micro(uh: f64) -> Inductance {
         Inductance::new(uh * 1e-6)
     }
-
-    /// The value in nanohenries.
-    pub fn nanohenries(self) -> f64 {
-        self.henries() * 1e9
-    }
 }
 
 impl Frequency {
-    /// Create from kilohertz.
-    pub fn from_kilo(khz: f64) -> Frequency {
-        Frequency::new(khz * 1e3)
-    }
-
     /// Create from megahertz.
     pub fn from_mega(mhz: f64) -> Frequency {
         Frequency::new(mhz * 1e6)
@@ -367,16 +332,6 @@ impl Area {
     /// The side length (mm) of the square with this area.
     pub fn square_side_mm(self) -> f64 {
         self.0.sqrt()
-    }
-
-    /// The larger of two areas.
-    pub fn max(self, other: Area) -> Area {
-        Area(self.0.max(other.0))
-    }
-
-    /// The smaller of two areas.
-    pub fn min(self, other: Area) -> Area {
-        Area(self.0.min(other.0))
     }
 }
 
@@ -474,22 +429,6 @@ impl Money {
     pub fn units(self) -> f64 {
         self.0
     }
-
-    /// The larger of two amounts.
-    pub fn max(self, other: Money) -> Money {
-        Money(self.0.max(other.0))
-    }
-
-    /// The smaller of two amounts.
-    pub fn min(self, other: Money) -> Money {
-        Money(self.0.min(other.0))
-    }
-
-    /// Whether the amount is negative (useful for sanity checks on
-    /// accounting identities).
-    pub fn is_negative(self) -> bool {
-        self.0 < 0.0
-    }
 }
 
 impl Add for Money {
@@ -581,8 +520,6 @@ mod tests {
         assert_eq!((a / 2.0).ohms(), 50.0);
         assert_eq!(a / b, 2.0);
         assert_eq!((-a).ohms(), -100.0);
-        assert_eq!(a.max(b), a);
-        assert_eq!(a.min(b), b);
         assert_eq!(a.lerp(b, 0.5).ohms(), 75.0);
     }
 
@@ -596,13 +533,11 @@ mod tests {
     fn unit_constructors() {
         assert_eq!(Resistance::from_kilo(100.0).ohms(), 100e3);
         assert_eq!(Resistance::from_mega(1.0).ohms(), 1e6);
-        assert_eq!(Resistance::from_milli(5.0).ohms(), 5e-3);
         assert_eq!(Capacitance::from_pico(50.0).picofarads(), 50.0);
-        assert!((Capacitance::from_nano(4.7).nanofarads() - 4.7).abs() < 1e-12);
+        assert!((Capacitance::from_nano(4.7).farads() - 4.7e-9).abs() < 1e-21);
         assert_eq!(Capacitance::from_micro(1.0).farads(), 1e-6);
-        assert_eq!(Inductance::from_nano(40.0).nanohenries(), 40.0);
+        assert!((Inductance::from_nano(40.0).henries() - 40e-9).abs() < 1e-21);
         assert_eq!(Inductance::from_micro(1.0).henries(), 1e-6);
-        assert_eq!(Frequency::from_kilo(1.0).hertz(), 1e3);
         assert_eq!(Frequency::from_mega(175.0).megahertz(), 175.0);
         assert!((Frequency::from_giga(1.575).gigahertz() - 1.575).abs() < 1e-12);
     }
@@ -620,7 +555,7 @@ mod tests {
         let r: Resistance = "360 Ω".parse().unwrap();
         assert_eq!(r.ohms(), 360.0);
         let c: Capacitance = "3.3nF".parse().unwrap();
-        assert!((c.nanofarads() - 3.3).abs() < 1e-12);
+        assert!((c.farads() - 3.3e-9).abs() < 1e-21);
         let f: Frequency = "1.575 GHz".parse().unwrap();
         assert!((f.gigahertz() - 1.575).abs() < 1e-12);
         assert!("".parse::<Resistance>().is_err());
@@ -662,8 +597,6 @@ mod tests {
         total += Money::new(4.7);
         total -= Money::new(0.7);
         assert_eq!(total.units(), 14.0);
-        assert!(!total.is_negative());
-        assert!((Money::new(1.0) - Money::new(2.0)).is_negative());
         assert_eq!(Money::new(10.0) / Money::new(4.0), 2.5);
         assert_eq!(format!("{}", Money::new(104.7)), "104.70");
     }
